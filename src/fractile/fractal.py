@@ -463,34 +463,30 @@ def _invert(t: _Transform) -> _Transform:
     return (True, negy, negx) if swap else t
 
 
-def _transform_generator(t: _Transform, gen: Generator) -> Generator:
-    return Generator(gen.g, frozenset(_apply_point(t, gen.g, p) for p in gen.cells))
-
-
 def _topmost_below(cells: PointSet, column: int, limit: int) -> Optional[Point]:
     ys = [y for x, y in cells if x == column and y < limit]
     return (column, max(ys)) if ys else None
 
 
-def _solve_parallel_north(gen: Generator, pier: Point) -> Point:
+def _solve_parallel_north(g: int, cells: PointSet, pier: Point) -> Point:
     # North-pointing parallel pier sits at (p, g-1) on the vertical bridge.
     p, q = pier
-    assert q == gen.g - 1
+    assert q == g - 1
     column = 1 if p == 0 else p - 1
-    anchor = _topmost_below(gen.cells, column, gen.g - 1)
+    anchor = _topmost_below(cells, column, g - 1)
     if anchor is None:
         raise RuntimeError(f"no anchor cell in column {column}")
     return anchor
 
 
-def _solve_orthogonal_east(gen: Generator, pier: Point) -> Point:
+def _solve_orthogonal_east(g: int, cells: PointSet, pier: Point) -> Point:
     # East-pointing orthogonal pier sits at (p, g-1) on the vertical bridge.
     p, q = pier
-    assert q == gen.g - 1
-    if p < gen.g - 1:
-        anchor = _topmost_below(gen.cells, p, gen.g - 2)
+    assert q == g - 1
+    if p < g - 1:
+        anchor = _topmost_below(cells, p, g - 2)
     else:
-        anchor = _topmost_below(gen.cells, 0, gen.g - 1)
+        anchor = _topmost_below(cells, 0, g - 1)
     if anchor is None:
         raise RuntimeError("no anchor cell for orthogonal pier")
     return anchor
@@ -536,9 +532,9 @@ def select_pier_anchor(gen: Generator, pier: Optional[Point] = None) -> PierAnch
         anchor = chosen.position
     elif chosen.taxonomy == TAXONOMY_PARALLEL:
         t = next(t for t in _TRANSFORMS if _apply_dir(t, chosen.pointing) == Direction.N)
-        gen2 = _transform_generator(t, gen)
+        cells2 = frozenset(_apply_point(t, gen.g, p) for p in gen.cells)
         pier2 = _apply_point(t, gen.g, chosen.position)
-        anchor2 = _solve_parallel_north(gen2, pier2)
+        anchor2 = _solve_parallel_north(gen.g, cells2, pier2)
         anchor = _apply_point(_invert(t), gen.g, anchor2)
     else:
         t = next(
@@ -547,9 +543,9 @@ def select_pier_anchor(gen: Generator, pier: Optional[Point] = None) -> PierAnch
             if _apply_dir(t, chosen.pointing) == Direction.E
             and _apply_point(t, gen.g, chosen.position)[1] == gen.g - 1
         )
-        gen2 = _transform_generator(t, gen)
+        cells2 = frozenset(_apply_point(t, gen.g, p) for p in gen.cells)
         pier2 = _apply_point(t, gen.g, chosen.position)
-        anchor2 = _solve_orthogonal_east(gen2, pier2)
+        anchor2 = _solve_orthogonal_east(gen.g, cells2, pier2)
         anchor = _apply_point(_invert(t), gen.g, anchor2)
 
     glue_side = chosen.pointing.inverse()

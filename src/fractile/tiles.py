@@ -10,6 +10,11 @@ Growth is nondeterministic in the model; here it is driven by explicit
 selection policies so every run is replayable bit for bit.  Bounded
 regions stand in for the infinite plane: attachment sites outside the
 region are reported at the end of a run, never silently dropped.
+
+One growth engine serves runs, frontier queries and the strict check.  It
+keeps the frontier incrementally: a glue index gives a site its candidate
+tile types from the glues its placed neighbours present, and a placement
+refreshes only that site and its four neighbours.
 """
 
 from __future__ import annotations
@@ -75,13 +80,13 @@ class TileType:
             raise ValueError(f"bad tile name: {self.name!r}")
 
     def glue(self, side: Direction) -> Glue:
-        if side is Direction.N:
-            return self.north
-        if side is Direction.E:
-            return self.east
-        if side is Direction.S:
-            return self.south
-        return self.west
+        return _sides(self)[DIRECTIONS.index(side)]
+
+
+def _sides(tile: TileType) -> tuple[Glue, Glue, Glue, Glue]:
+    """Glues in N, E, S, W order, the order of :func:`grid.neighbors`; side
+    ``i`` of one tile faces side ``i ^ 2`` of the next."""
+    return (tile.north, tile.east, tile.south, tile.west)
 
 
 class Assembly(Mapping):
@@ -190,16 +195,10 @@ def bond_strength(assembly: Mapping[Point, TileType], edge: tuple[Point, Point])
     p, q = edge
     if p not in assembly or q not in assembly:
         raise ValueError(f"endpoint not placed: {p if p not in assembly else q}")
-    d = _direction_between(p, q)
-    return glues_bind(assembly[p].glue(d), assembly[q].glue(d.inverse()))
-
-
-def _direction_between(p: Point, q: Point) -> Direction:
-    delta = (q[0] - p[0], q[1] - p[1])
-    for d in DIRECTIONS:
-        if d.unit == delta:
-            return d
-    raise ValueError(f"points not adjacent: {p}, {q}")
+    if q not in neighbors(p):
+        raise ValueError(f"points not adjacent: {p}, {q}")
+    side = neighbors(p).index(q)
+    return glues_bind(_sides(assembly[p])[side], _sides(assembly[q])[side ^ 2])
 
 
 def binding_graph(assembly: Mapping[Point, TileType]) -> "nx.Graph":
@@ -234,38 +233,10 @@ def is_tau_stable(assembly: Mapping[Point, TileType], tau: int) -> bool:
 def attachment_strength(assembly: Mapping[Point, TileType], p: Point, tile: TileType) -> int:
     """Total strength of the bonds a tile would form if placed at p."""
     total = 0
-    for d in DIRECTIONS:
-        q = d(p)
+    for side, q in enumerate(neighbors(p)):
         if q in assembly:
-            total += glues_bind(tile.glue(d), assembly[q].glue(d.inverse()))
+            total += glues_bind(_sides(tile)[side], _sides(assembly[q])[side ^ 2])
     return total
-
-
-def frontier(
-    system: TileSystem,
-    assembly: Mapping[Point, TileType],
-    region: Optional[Container[Point]] = None,
-) -> tuple[tuple[Point, TileType], ...]:
-    """Every (position, tile) pair that could stably attach right now.
-
-    Since one new tile's bonds must alone reach the temperature, adding any
-    frontier pair to a stable assembly keeps it stable.  Sites are sorted
-    by row, column, then tile name.
-    """
-    sites = []
-    seen = set()
-    for placed in assembly:
-        for p in neighbors(placed):
-            if p in assembly or p in seen:
-                continue
-            seen.add(p)
-            if region is not None and p not in region:
-                continue
-            for t in system.tiles:
-                if attachment_strength(assembly, p, t) >= system.temperature:
-                    sites.append((p, t))
-    sites.sort(key=lambda site: (site[0][1], site[0][0], site[1].name))
-    return tuple(sites)
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +300,6 @@ class LexicographicPolicy:
     """Always take the first frontier site: lowest row, then column, then
     tile name."""
 
-    def __init__(self, seed: Optional[int] = None):
-        pass
-
     def choose(self, sites: Sequence[tuple[Point, TileType]]) -> tuple[Point, TileType]:
         return sites[0]
 
@@ -346,6 +314,99 @@ class SeededUniformPolicy:
         return sites[self._rng.randrange(len(sites))]
 
 
+# ---------------------------------------------------------------------------
+# The growth engine
+
+
+def _row_major(p: Point) -> tuple[int, int]:
+    return (p[1], p[0])
+
+
+def _pairs(sites: dict[Point, tuple[TileType, ...]]) -> tuple[tuple[Point, TileType], ...]:
+    """Sites as (position, tile) pairs sorted by row, column, tile name."""
+    return tuple((p, t) for p in sorted(sites, key=_row_major) for t in sites[p])
+
+
+class _Frontier:
+    """Attachment sites inside and beyond the region, kept current as tiles
+    are placed; ``_index`` maps (side, glue) to the names of the tile types
+    presenting that positive glue on that side."""
+
+    def __init__(
+        self, system: TileSystem, tiles: dict[Point, TileType], region: Optional[Container[Point]]
+    ):
+        self.tiles = tiles
+        self.region = region
+        self.temperature = system.temperature
+        self.events: list[SequenceEvent] = []
+        self.inside: dict[Point, tuple[TileType, ...]] = {}
+        self.outside: dict[Point, tuple[TileType, ...]] = {}
+        self._by_name = {t.name: t for t in system.tiles}
+        self._index: dict[tuple[int, Glue], list[str]] = {}
+        for t in system.tiles:
+            for side, glue in enumerate(_sides(t)):
+                if glue.strength > 0:
+                    self._index.setdefault((side, glue), []).append(t.name)
+        for p in {q for placed in tiles for q in neighbors(placed)}:
+            self._refresh(p)
+
+    def _refresh(self, p: Point) -> None:
+        self.inside.pop(p, None)
+        self.outside.pop(p, None)
+        if p in self.tiles:
+            return
+        totals: dict[str, int] = {}
+        for side, q in enumerate(neighbors(p)):
+            placed = self.tiles.get(q)
+            if placed is None:
+                continue
+            facing = _sides(placed)[side ^ 2]
+            for name in self._index.get((side, facing), ()):
+                totals[name] = totals.get(name, 0) + facing.strength
+        attachable = tuple(
+            self._by_name[name] for name in sorted(totals) if totals[name] >= self.temperature
+        )
+        if attachable:
+            inside = self.region is None or p in self.region
+            (self.inside if inside else self.outside)[p] = attachable
+
+    def place(self, p: Point, tile: TileType) -> None:
+        self.tiles[p] = tile
+        self.events.append(SequenceEvent(len(self.events) + 1, p, tile))
+        for q in (p, *neighbors(p)):
+            self._refresh(q)
+
+
+def _grow(
+    system: TileSystem, region: Optional[Container[Point]], policy, max_steps: int
+) -> Iterator[_Frontier]:
+    """Yield the state before each step and once after the last."""
+    tiles = dict(system.seed)
+    if region is not None and any(p not in region for p in tiles):
+        raise ValueError("seed outside region")
+    if policy is None:
+        policy = LexicographicPolicy()
+    state = _Frontier(system, tiles, region)
+    yield state
+    while state.inside and len(state.events) < max_steps:
+        state.place(*policy.choose(_pairs(state.inside)))
+        yield state
+
+
+def frontier(
+    system: TileSystem,
+    assembly: Mapping[Point, TileType],
+    region: Optional[Container[Point]] = None,
+) -> tuple[tuple[Point, TileType], ...]:
+    """Every (position, tile) pair that could stably attach right now.
+
+    Since one new tile's bonds must alone reach the temperature, adding any
+    frontier pair to a stable assembly keeps it stable.  Sites are sorted
+    by row, column, then tile name.
+    """
+    return _pairs(_Frontier(system, dict(assembly), region).inside)
+
+
 def clipped_frontier(
     system: TileSystem,
     assembly: Mapping[Point, TileType],
@@ -357,9 +418,7 @@ def clipped_frontier(
     forced to leave out, so boundary clipping is visible instead of
     silent.
     """
-    return tuple(
-        site for site in frontier(system, assembly, None) if site[0] not in region
-    )
+    return _pairs(_Frontier(system, dict(assembly), region).outside)
 
 
 def run(
@@ -376,47 +435,9 @@ def run(
     Use :func:`clipped_frontier` on the result to see what the region
     boundary cut off.
     """
-    if policy is None:
-        policy = LexicographicPolicy()
-    tiles = dict(system.seed)
-    if region is not None and any(p not in region for p in tiles):
-        raise ValueError("seed outside region")
-
-    candidates: dict[Point, tuple[TileType, ...]] = {}
-
-    def refresh(p: Point) -> None:
-        if p in tiles or (region is not None and p not in region):
-            candidates.pop(p, None)
-            return
-        attachable = tuple(
-            t for t in system.tiles if attachment_strength(tiles, p, t) >= system.temperature
-        )
-        if attachable:
-            candidates[p] = attachable
-        else:
-            candidates.pop(p, None)
-
-    for placed in list(tiles):
-        for p in neighbors(placed):
-            refresh(p)
-
-    events = []
-    step = 0
-    while candidates and step < max_steps:
-        sites = [
-            (p, t)
-            for p in sorted(candidates, key=lambda v: (v[1], v[0]))
-            for t in sorted(candidates[p], key=lambda t: t.name)
-        ]
-        pos, tile = policy.choose(sites)
-        step += 1
-        events.append(SequenceEvent(step, pos, tile))
-        tiles[pos] = tile
-        candidates.pop(pos, None)
-        for q in neighbors(pos):
-            refresh(q)
-
-    return AssemblySequence(system, tuple(events), Assembly(tiles))
+    for state in _grow(system, region, policy, max_steps):
+        pass
+    return AssemblySequence(system, tuple(state.events), Assembly(state.tiles))
 
 
 # ---------------------------------------------------------------------------
@@ -451,53 +472,30 @@ def check_strict_self_assembly(
     found as soon as any off-target attachment becomes possible, whether
     or not the policy would have taken it.
     """
-    if policy is None:
-        policy = LexicographicPolicy()
     target_set = frozenset(target)
-    tiles = dict(system.seed)
-    if any(p not in region for p in tiles):
-        raise ValueError("seed outside region")
-    off_seed = sorted((p for p in tiles if p not in target_set), key=lambda p: (p[1], p[0]))
-    if off_seed:
-        return StrictCheck(
-            VERDICT_VIOLATION, off_seed[0], f"seed tile off target at {off_seed[0]}", 0
-        )
 
-    steps = 0
-    while True:
-        sites = frontier(system, tiles, region)
-        off = sorted(
-            {p for p, _ in sites if p not in target_set}, key=lambda p: (p[1], p[0])
-        )
-        if off:
-            return StrictCheck(
-                VERDICT_VIOLATION,
-                off[0],
-                f"frontier site off target at {off[0]} after {steps} steps",
-                steps,
-            )
-        if not sites:
-            unrestricted = frontier(system, tiles, None)
-            covered = len(target_set & tiles.keys())
-            if unrestricted:
-                detail = (
-                    f"region boundary reached; {len(unrestricted) - len(sites)} sites"
-                    f" clipped; covered {covered}/{len(target_set)} target cells"
-                )
-            else:
-                detail = f"terminal; covered {covered}/{len(target_set)} target cells"
-            return StrictCheck(VERDICT_INCOMPLETE_OK, None, detail, steps)
-        if steps >= max_steps:
-            covered = len(target_set & tiles.keys())
-            return StrictCheck(
-                VERDICT_INCOMPLETE_OK,
-                None,
-                f"step limit reached; covered {covered}/{len(target_set)} target cells",
-                steps,
-            )
-        pos, tile = policy.choose(sites)
-        tiles[pos] = tile
-        steps += 1
+    def first_off(points: Iterable[Point]) -> Optional[Point]:
+        return min((p for p in points if p not in target_set), key=_row_major, default=None)
+
+    for state in _grow(system, region, policy, max_steps):
+        steps = len(state.events)
+        # only the seed needs checking: later tiles land on checked sites
+        off = first_off(state.tiles) if steps == 0 else None
+        if off is not None:
+            return StrictCheck(VERDICT_VIOLATION, off, f"seed tile off target at {off}", 0)
+        off = first_off(state.inside)
+        if off is not None:
+            detail = f"frontier site off target at {off} after {steps} steps"
+            return StrictCheck(VERDICT_VIOLATION, off, detail, steps)
+    covered = f"covered {len(target_set & state.tiles.keys())}/{len(target_set)} target cells"
+    if state.inside:
+        detail = f"step limit reached; {covered}"
+    elif state.outside:
+        clipped = sum(map(len, state.outside.values()))
+        detail = f"region boundary reached; {clipped} sites clipped; {covered}"
+    else:
+        detail = f"terminal; {covered}"
+    return StrictCheck(VERDICT_INCOMPLETE_OK, None, detail, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,9 @@ piers: (1,0)E/parallel, (0,1)N/parallel
 anchor: pier (0,1), (e,f)=(1,0), glue side S
 """
 
+# side-4 generator whose two piers are both orthogonal
+ORTHOGONAL4_GEN = "g=4\n..##\n...#\n#.##\n###.\n"
+
 STAGE2_GRID = "g=4\n#...\n##..\n#.#.\n####\n"
 
 
@@ -34,6 +37,7 @@ def files(tmp_path, sierpinski):
     paths = {
         "sierpinski.gen": SIERPINSKI_GEN,
         "full2.gen": FULL2_GEN,
+        "orthogonal4.gen": ORTHOGONAL4_GEN,
         "bad.gen": "g=banana\n####\n",
         "ribbon.tas": RIBBON_TAS,
         "uniform.tas": format_tile_system(
@@ -71,6 +75,13 @@ class TestAnalyze:
         assert "bridge counts: 2 horizontal, 2 vertical" in out
         assert "piers: none" in out
         assert "anchor: none" in out
+
+    def test_orthogonal_piers_get_an_anchor(self, files, capsys):
+        assert main(["analyze", str(files / "orthogonal4.gen")]) == 0
+        out = capsys.readouterr().out
+        assert "piers: (0,1)N/orthogonal, (2,3)W/orthogonal" in out
+        assert "anchor: pier (0,1), (e,f)=(2,1), glue side S" in out
+        assert "anchor: none" not in out
 
     def test_malformed_file_exits_two(self, files, capsys):
         assert main(["analyze", str(files / "bad.gen")]) == 2

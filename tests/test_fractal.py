@@ -11,11 +11,14 @@ import random
 import pytest
 
 from fractile import (
+    DIRECTIONS,
     Direction,
     Generator,
     TAXONOMY_ORTHOGONAL,
     TAXONOMY_PARALLEL,
     TAXONOMY_REAL,
+    WindowSpec,
+    boundary_contacts,
     bridge_counts,
     bridges,
     census,
@@ -35,6 +38,7 @@ from fractile import (
     select_pier_anchor,
     stage,
     stage_property,
+    window_inside,
 )
 from conftest import HOOK4_CELLS, L_CELLS, REAL_PIER_CELLS, SIERPINSKI_CELLS
 
@@ -308,6 +312,36 @@ def test_selected_window_is_three_sided_for_small_generators():
         for gen in census(g).tree_fractal_generators:
             a = select_pier_anchor(gen)
             assert a.pier in {p.position for p in piers(gen)}
+
+
+# Both piers are orthogonal, and solving the north-pointing one needs a
+# mirror of the pattern that moves the origin cell.
+ORTHOGONAL4_CELLS = frozenset(
+    {(0, 0), (0, 1), (1, 0), (2, 0), (2, 1), (2, 3), (3, 1), (3, 2), (3, 3)}
+)
+
+
+def test_select_pier_anchor_mirrors_cells_not_generators():
+    a = select_pier_anchor(Generator(4, ORTHOGONAL4_CELLS))
+    assert a.pier == (0, 1)
+    assert a.anchor == (2, 1)
+    assert a.glue_side is Direction.S
+    assert a.bridge_offset == 2
+
+
+def test_anchor_sweep_over_all_small_tree_fractal_generators():
+    """Every tree-fractal generator of side 2-4 gets an anchor whose stage-2
+    window touches the rest of the stage on glue_side alone, at one pair."""
+    swept = 0
+    for g in (2, 3, 4):
+        for gen in census(g, allow_large=True).tree_fractal_generators:
+            a = select_pier_anchor(gen)
+            inside = window_inside(WindowSpec(1, 2, g, a.anchor, a.pier))
+            contacts = boundary_contacts(inside, stage(gen, 2))
+            assert [d for d in DIRECTIONS if contacts[d]] == [a.glue_side], gen
+            assert len(contacts[a.glue_side]) == 1, gen
+            swept += 1
+    assert swept == 227
 
 
 # ---------------------------------------------------------------------------

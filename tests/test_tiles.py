@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractile import (
@@ -85,6 +85,27 @@ def oracle_frontier(system, placed, region=None):
                 sites.append((p, t))
     sites.sort(key=lambda s: (s[0][1], s[0][0], s[1].name))
     return tuple(sites)
+
+
+def reference_growth(system, region, policy, max_steps, target=None):
+    """Grow by choosing from ``oracle_frontier`` at every step.  With a
+    target, stop at the first off-target frontier site the way the strict
+    check does; that site is returned as the witness."""
+    placed = dict(system.seed)
+    events = []
+    while True:
+        sites = oracle_frontier(system, placed, region)
+        off = sorted(
+            {p for p, _ in sites if target is not None and p not in target},
+            key=lambda p: (p[1], p[0]),
+        )
+        if off:
+            return events, placed, sites, off[0]
+        if not sites or len(events) >= max_steps:
+            return events, placed, sites, None
+        p, t = policy.choose(sites)
+        placed[p] = t
+        events.append(SequenceEvent(len(events) + 1, p, t))
 
 
 LABELS = ("a", "b")
@@ -385,6 +406,95 @@ class TestFrontier:
             compared += 1
             nonempty += bool(sites)
         assert nonempty >= 8
+
+
+def random_system(rng):
+    """Up to two tile types with sides from the glue pool, plus a seed.
+
+    Half the time the seed is an L tromino held by strength-2 bonds and a
+    further tile fits the corner it leaves through two strength-1 bonds, so
+    temperature-2 runs meet a site that needs cooperation."""
+
+    def tile(name, **fixed):
+        sides = ("north", "east", "south", "west")
+        glues = {d: rng.choice(GLUE_POOL + (NULL_GLUE,)) for d in sides}
+        return TileType(name, **{**glues, **fixed})
+
+    extra = tuple(tile(f"r{i}") for i in range(rng.randrange(3)))
+    tau = rng.choice((1, 2))
+    if rng.randrange(2):
+        single = tile("s0")
+        return TileSystem((single, *extra), Assembly({(0, 0): single}), tau)
+    x, y = Glue("x", 2), Glue("y", 2)
+    hub = tile("s0", east=x, north=y)
+    right = tile("s1", west=x, north=Glue(rng.choice(LABELS), 1))
+    up = tile("s2", south=y, east=Glue(rng.choice(LABELS), 1))
+    corner = tile("s3", south=right.north, west=up.east)
+    seed = Assembly({(0, 0): hub, (1, 0): right, (0, 1): up})
+    return TileSystem((hub, right, up, corner, *extra), seed, tau)
+
+
+def make_policy(seed):
+    return LexicographicPolicy() if seed is None else SeededUniformPolicy(seed)
+
+
+SMALL_BOX = Box(-1, 0, 1, 1)
+
+
+class TestGrowthAgainstOracleLoop:
+    """The incremental engine against a loop that recomputes the frontier
+    by definition before every step."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.randoms(use_true_random=False),
+        st.sampled_from((None, 0, 1, 2)),
+        st.sampled_from((None, SMALL_BOX)),
+        st.integers(0, 6),
+    )
+    def test_run(self, rng, seed, region, max_steps):
+        system = random_system(rng)
+        seq = run(system, region, make_policy(seed), max_steps)
+        events, placed, _, _ = reference_growth(system, region, make_policy(seed), max_steps)
+        assert seq.events == tuple(events)
+        assert dict(seq.result) == placed
+        if region is not None:
+            clipped = tuple(s for s in oracle_frontier(system, placed) if s[0] not in region)
+            assert clipped_frontier(system, seq.result, region) == clipped
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.randoms(use_true_random=False),
+        st.sampled_from((None, 0, 1, 2)),
+        st.integers(0, 6),
+    )
+    def test_strict_check(self, rng, seed, max_steps):
+        system = random_system(rng)
+        cells = [(x, y) for y in range(2) for x in range(-1, 2)]
+        target = set(system.seed) | {p for p in cells if rng.random() < 0.7}
+        verdict = check_strict_self_assembly(
+            system, target, SMALL_BOX, make_policy(seed), max_steps
+        )
+        events, placed, sites, witness = reference_growth(
+            system, SMALL_BOX, make_policy(seed), max_steps, target
+        )
+        assert verdict.steps == len(events)
+        assert verdict.witness == witness
+        if witness is not None:
+            assert verdict.status == VERDICT_VIOLATION
+            assert verdict.detail == (
+                f"frontier site off target at {witness} after {len(events)} steps"
+            )
+            return
+        assert verdict.status == VERDICT_INCOMPLETE_OK
+        covered = f"covered {len(target & placed.keys())}/{len(target)} target cells"
+        clipped = len(oracle_frontier(system, placed)) - len(sites)
+        if sites:
+            assert verdict.detail == f"step limit reached; {covered}"
+        elif clipped:
+            assert verdict.detail == f"region boundary reached; {clipped} sites clipped; {covered}"
+        else:
+            assert verdict.detail == f"terminal; {covered}"
 
 
 class TestRunAndReplay:
