@@ -20,6 +20,7 @@ refreshes only that site and its four neighbours.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Container, Iterable, Iterator, Optional, Sequence
@@ -318,19 +319,16 @@ class SeededUniformPolicy:
 # The growth engine
 
 
-def _row_major(p: Point) -> tuple[int, int]:
-    return (p[1], p[0])
-
-
-def _pairs(sites: dict[Point, tuple[TileType, ...]]) -> tuple[tuple[Point, TileType], ...]:
-    """Sites as (position, tile) pairs sorted by row, column, tile name."""
-    return tuple((p, t) for p in sorted(sites, key=_row_major) for t in sites[p])
+def _pair_key(pair: tuple[Point, TileType]) -> tuple[int, int]:
+    return (pair[0][1], pair[0][0])
 
 
 class _Frontier:
-    """Attachment sites inside and beyond the region, kept current as tiles
-    are placed; ``_index`` maps (side, glue) to the names of the tile types
-    presenting that positive glue on that side."""
+    """Attachment sites, kept current as tiles are placed: ``sites`` maps
+    each to its tile types in name order, and ``inside`` and ``outside``
+    list them as (position, tile) pairs sorted by row, column, tile name,
+    within the region and beyond it.  ``_index`` maps (side, glue) to the
+    names of the tile types presenting that positive glue on that side."""
 
     def __init__(
         self, system: TileSystem, tiles: dict[Point, TileType], region: Optional[Container[Point]]
@@ -339,8 +337,9 @@ class _Frontier:
         self.region = region
         self.temperature = system.temperature
         self.events: list[SequenceEvent] = []
-        self.inside: dict[Point, tuple[TileType, ...]] = {}
-        self.outside: dict[Point, tuple[TileType, ...]] = {}
+        self.sites: dict[Point, tuple[TileType, ...]] = {}
+        self.inside: list[tuple[Point, TileType]] = []
+        self.outside: list[tuple[Point, TileType]] = []
         self._by_name = {t.name: t for t in system.tiles}
         self._index: dict[tuple[int, Glue], list[str]] = {}
         for t in system.tiles:
@@ -351,24 +350,32 @@ class _Frontier:
             self._refresh(p)
 
     def _refresh(self, p: Point) -> None:
-        self.inside.pop(p, None)
-        self.outside.pop(p, None)
-        if p in self.tiles:
+        """Recompute the tile types attachable at p and, if they changed,
+        replace p's run of pairs; the run is contiguous because its pairs
+        share (y, x)."""
+        attachable: tuple[TileType, ...] = ()
+        if p not in self.tiles:
+            totals: dict[str, int] = {}
+            for side, q in enumerate(neighbors(p)):
+                placed = self.tiles.get(q)
+                if placed is None:
+                    continue
+                facing = _sides(placed)[side ^ 2]
+                for name in self._index.get((side, facing), ()):
+                    totals[name] = totals.get(name, 0) + facing.strength
+            attachable = tuple(
+                self._by_name[name] for name in sorted(totals) if totals[name] >= self.temperature
+            )
+        old = self.sites.get(p, ())
+        if attachable == old:
             return
-        totals: dict[str, int] = {}
-        for side, q in enumerate(neighbors(p)):
-            placed = self.tiles.get(q)
-            if placed is None:
-                continue
-            facing = _sides(placed)[side ^ 2]
-            for name in self._index.get((side, facing), ()):
-                totals[name] = totals.get(name, 0) + facing.strength
-        attachable = tuple(
-            self._by_name[name] for name in sorted(totals) if totals[name] >= self.temperature
-        )
         if attachable:
-            inside = self.region is None or p in self.region
-            (self.inside if inside else self.outside)[p] = attachable
+            self.sites[p] = attachable
+        else:
+            del self.sites[p]
+        pairs = self.inside if self.region is None or p in self.region else self.outside
+        at = bisect_left(pairs, (p[1], p[0]), key=_pair_key)
+        pairs[at : at + len(old)] = [(p, t) for t in attachable]
 
     def place(self, p: Point, tile: TileType) -> None:
         self.tiles[p] = tile
@@ -389,7 +396,7 @@ def _grow(
     state = _Frontier(system, tiles, region)
     yield state
     while state.inside and len(state.events) < max_steps:
-        state.place(*policy.choose(_pairs(state.inside)))
+        state.place(*policy.choose(state.inside))
         yield state
 
 
@@ -404,7 +411,7 @@ def frontier(
     frontier pair to a stable assembly keeps it stable.  Sites are sorted
     by row, column, then tile name.
     """
-    return _pairs(_Frontier(system, dict(assembly), region).inside)
+    return tuple(_Frontier(system, dict(assembly), region).inside)
 
 
 def clipped_frontier(
@@ -418,7 +425,7 @@ def clipped_frontier(
     forced to leave out, so boundary clipping is visible instead of
     silent.
     """
-    return _pairs(_Frontier(system, dict(assembly), region).outside)
+    return tuple(_Frontier(system, dict(assembly), region).outside)
 
 
 def run(
@@ -473,17 +480,14 @@ def check_strict_self_assembly(
     or not the policy would have taken it.
     """
     target_set = frozenset(target)
-
-    def first_off(points: Iterable[Point]) -> Optional[Point]:
-        return min((p for p in points if p not in target_set), key=_row_major, default=None)
-
     for state in _grow(system, region, policy, max_steps):
         steps = len(state.events)
-        # only the seed needs checking: later tiles land on checked sites
-        off = first_off(state.tiles) if steps == 0 else None
+        # only the seed needs checking, in its row-major order: later tiles
+        # land on checked sites
+        off = next((p for p in state.tiles if p not in target_set), None) if steps == 0 else None
         if off is not None:
             return StrictCheck(VERDICT_VIOLATION, off, f"seed tile off target at {off}", 0)
-        off = first_off(state.inside)
+        off = next((p for p, _ in state.inside if p not in target_set), None)
         if off is not None:
             detail = f"frontier site off target at {off} after {steps} steps"
             return StrictCheck(VERDICT_VIOLATION, off, detail, steps)
@@ -491,8 +495,7 @@ def check_strict_self_assembly(
     if state.inside:
         detail = f"step limit reached; {covered}"
     elif state.outside:
-        clipped = sum(map(len, state.outside.values()))
-        detail = f"region boundary reached; {clipped} sites clipped; {covered}"
+        detail = f"region boundary reached; {len(state.outside)} sites clipped; {covered}"
     else:
         detail = f"terminal; {covered}"
     return StrictCheck(VERDICT_INCOMPLETE_OK, None, detail, steps)
