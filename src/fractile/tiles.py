@@ -456,8 +456,9 @@ class StrictCheck:
     """Outcome of a bounded strict self-assembly check.
 
     VIOLATION carries a witness cell where the system can grow off the
-    target.  INCOMPLETE-OK means no off-target site appeared before the
-    run stopped; it is evidence, never a proof.
+    target, or a target cell that a terminal assembly leaves empty.
+    INCOMPLETE-OK means no off-target site appeared before the region or
+    the step limit cut the run short; it is evidence, never a proof.
     """
 
     status: str
@@ -477,7 +478,9 @@ def check_strict_self_assembly(
 
     Every step checks the whole in-region frontier, so a violation is
     found as soon as any off-target attachment becomes possible, whether
-    or not the policy would have taken it.
+    or not the policy would have taken it.  A run that stops with no
+    attachment site in or beyond the region is terminal in the plane, so
+    if it misses target cells that is a violation too.
     """
     target_set = frozenset(target)
     for state in _grow(system, region, policy, max_steps):
@@ -498,6 +501,10 @@ def check_strict_self_assembly(
         detail = f"region boundary reached; {len(state.outside)} sites clipped; {covered}"
     else:
         detail = f"terminal; {covered}"
+        missing = target_set - state.tiles.keys()
+        if missing:
+            witness = min(missing, key=lambda p: (p[1], p[0]))
+            return StrictCheck(VERDICT_VIOLATION, witness, detail, steps)
     return StrictCheck(VERDICT_INCOMPLETE_OK, None, detail, steps)
 
 

@@ -13,6 +13,7 @@ from fractile import (
     Glue,
     LexicographicPolicy,
     NULL_GLUE,
+    PIER_LABELS_UNIFORM,
     ReplayError,
     SeededUniformPolicy,
     SequenceEvent,
@@ -479,14 +480,13 @@ class TestGrowthAgainstOracleLoop:
             system, SMALL_BOX, make_policy(seed), max_steps, target
         )
         assert verdict.steps == len(events)
-        assert verdict.witness == witness
         if witness is not None:
             assert verdict.status == VERDICT_VIOLATION
+            assert verdict.witness == witness
             assert verdict.detail == (
                 f"frontier site off target at {witness} after {len(events)} steps"
             )
             return
-        assert verdict.status == VERDICT_INCOMPLETE_OK
         covered = f"covered {len(target & placed.keys())}/{len(target)} target cells"
         clipped = len(oracle_frontier(system, placed)) - len(sites)
         if sites:
@@ -494,7 +494,15 @@ class TestGrowthAgainstOracleLoop:
         elif clipped:
             assert verdict.detail == f"region boundary reached; {clipped} sites clipped; {covered}"
         else:
+            # terminal in the plane: a missed target cell is a violation
             assert verdict.detail == f"terminal; {covered}"
+            missing = sorted(target - placed.keys(), key=lambda p: (p[1], p[0]))
+            if missing:
+                assert verdict.status == VERDICT_VIOLATION
+                assert verdict.witness == missing[0]
+                return
+        assert verdict.status == VERDICT_INCOMPLETE_OK
+        assert verdict.witness is None
 
 
 class TestRunAndReplay:
@@ -608,6 +616,15 @@ class TestStrictCheck:
             check_strict_self_assembly(
                 all_glue_system(), stage(sierpinski, 2), Box(5, 5, 6, 6)
             )
+
+    def test_terminal_short_run_is_a_violation(self, sierpinski):
+        system = tree_edge_system(sierpinski, 4, PIER_LABELS_UNIFORM)
+        verdict = check_strict_self_assembly(
+            system, stage(sierpinski, 4), Box(0, 0, 15, 15), LexicographicPolicy()
+        )
+        assert verdict.status == VERDICT_VIOLATION
+        assert verdict.witness == (5, 2)
+        assert verdict.detail == "terminal; covered 71/81 target cells"
 
     def test_step_limit_reported(self):
         target = {(x, y) for x in range(10) for y in range(10)}
