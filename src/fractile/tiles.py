@@ -14,7 +14,9 @@ region are reported at the end of a run, never silently dropped.
 One growth engine serves runs, frontier queries and the strict check.  It
 keeps the frontier incrementally: a glue index gives a site its candidate
 tile types from the glues its placed neighbours present, and a placement
-refreshes only that site and its four neighbours.
+refreshes only that site and its four neighbours.  The frontier stays
+sorted by row, column and tile name as it changes, with bisect, so no step
+re-sorts it.
 """
 
 from __future__ import annotations
@@ -409,7 +411,7 @@ def frontier(
 
     Since one new tile's bonds must alone reach the temperature, adding any
     frontier pair to a stable assembly keeps it stable.  Sites are sorted
-    by row, column, then tile name.
+    by row, column, then tile name, the order the growth engine keeps.
     """
     return tuple(_Frontier(system, dict(assembly), region).inside)
 
@@ -437,7 +439,8 @@ def run(
     """Grow the seed one tile at a time until nothing attaches in the
     region or the step budget runs out.
 
-    The policy picks from the sorted frontier, so runs are reproducible:
+    The policy picks from the frontier, which is kept sorted by row,
+    column and tile name as tiles attach, so runs are reproducible:
     the same system, region, policy, and budget give identical sequences.
     Use :func:`clipped_frontier` on the result to see what the region
     boundary cut off.

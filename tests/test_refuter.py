@@ -1,5 +1,7 @@
 """Tests for the refutation pipeline and its fixture tile systems."""
 
+import itertools
+
 import pytest
 
 from fractile import (
@@ -18,6 +20,7 @@ from fractile import (
     WindowSpec,
     alignment_offset,
     boundary_contacts,
+    census,
     enclosure_bound_ok,
     format_certificate,
     format_no_match,
@@ -152,23 +155,27 @@ class TestAlignmentOffset:
                         x, y = alignment_offset(gen, c, i, j, anchor)
                         assert enclosure_bound_ok(c, gen.g, i, j, x, y)
 
-    def test_shifts_glue_line_onto_glue_line(self, sierpinski, hook4):
-        # the full shift (stage translation + alignment) must carry the
-        # bonded boundary pairs of the small window exactly onto those of
-        # the large one, inside the actual fractal stage
+    def test_shifts_glue_line_onto_glue_line(self, hook4):
+        # for every tree-fractal generator of side 2-4, and for hook4's
+        # east-pointing pier, the full shift (stage translation + alignment)
+        # must carry the bonded boundary pair of each stage-i window exactly
+        # onto that of the stage-j window, inside the actual fractal stage
         cases = [
-            (sierpinski, select_pier_anchor(sierpinski), 4, ((2, 3), (2, 4), (3, 4))),
-            (hook4, select_pier_anchor(hook4), 3, ((2, 3),)),
-            (hook4, select_pier_anchor(hook4, pier=(3, 2)), 3, ((2, 3),)),
+            (gen, select_pier_anchor(gen))
+            for g in (2, 3, 4)
+            for gen in census(g, allow_large=True).tree_fractal_generators
         ]
-        for gen, anchor, depth, stage_pairs in cases:
-            points = stage(gen, depth)
-            for i, j in stage_pairs:
+        cases.append((hook4, select_pier_anchor(hook4, pier=(3, 2))))
+        swept = 0
+        for gen, anchor in cases:
+            top = 4 if gen.g == 2 else 3
+            points = stage(gen, top)
+            for i, j in itertools.combinations(range(2, top + 1), 2):
                 w_i = WindowSpec(1, i, gen.g, anchor.anchor, anchor.pier)
                 w_j = WindowSpec(1, j, gen.g, anchor.anchor, anchor.pier)
                 line_i = boundary_contacts(window_inside(w_i), points)[anchor.glue_side]
                 line_j = boundary_contacts(window_inside(w_j), points)[anchor.glue_side]
-                assert len(line_i) == 1 and len(line_j) == 1
+                assert len(line_i) == 1 and len(line_j) == 1, (gen, i, j)
                 t = translation(1, gen.g, i, j, *anchor.anchor, *anchor.pier)
                 a = alignment_offset(gen, 1, i, j, anchor)
                 dx, dy = t[0] + a[0], t[1] + a[1]
@@ -176,7 +183,12 @@ class TestAlignmentOffset:
                     ((px + dx, py + dy), (qx + dx, qy + dy))
                     for (px, py), (qx, qy) in line_i
                 ]
-                assert shifted == line_j
+                assert shifted == line_j, (gen, i, j)
+                swept += 1
+        # 227 generators plus hook4's second anchor; the 3 side-2 generators
+        # have three stage pairs each, the other 225 anchors one
+        assert len(cases) == 228
+        assert swept == 3 * 3 + 225
 
 
 class TestRefute:

@@ -1,5 +1,6 @@
 """Tests for tile systems, stability, frontiers, runs, and the .tas format."""
 
+import dataclasses
 import random
 
 import pytest
@@ -36,6 +37,7 @@ from fractile import (
     stage,
     tree_edge_system,
 )
+from fractile.tiles import _Frontier, _grow
 
 # ---------------------------------------------------------------------------
 # Oracles: exhaustive cut enumeration, and frontier by definition.
@@ -503,6 +505,38 @@ class TestGrowthAgainstOracleLoop:
                 return
         assert verdict.status == VERDICT_INCOMPLETE_OK
         assert verdict.witness is None
+
+
+class TestKeptOrder:
+    """The engine keeps its frontier lists sorted incrementally; at every
+    state a run passes through they must equal a fresh sort of its site
+    map, and the site map must equal one built from scratch."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.randoms(use_true_random=False),
+        st.sampled_from((None, 0, 1)),
+        st.sampled_from((None, SMALL_BOX, Box(-2, -1, 2, 2))),
+    )
+    def test_lists_match_a_fresh_sort(self, rng, seed, region):
+        system = random_system(rng)
+        # a renamed copy of one tile type shares all its sites
+        twin = dataclasses.replace(rng.choice(system.tiles), name="twin")
+        system = TileSystem((*system.tiles, twin), system.seed, system.temperature)
+
+        def fresh_sort(inside):
+            pairs = [
+                (p, t)
+                for p, tiles in state.sites.items()
+                if (region is None or p in region) == inside
+                for t in tiles
+            ]
+            return sorted(pairs, key=lambda s: (s[0][1], s[0][0], s[1].name))
+
+        for state in _grow(system, region, make_policy(seed), 12):
+            assert state.inside == fresh_sort(True)
+            assert state.outside == fresh_sort(False)
+            assert state.sites == _Frontier(system, dict(state.tiles), region).sites
 
 
 class TestRunAndReplay:
