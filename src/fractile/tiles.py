@@ -14,9 +14,8 @@ region are reported at the end of a run, never silently dropped.
 One growth engine serves runs, frontier queries and the strict check.  It
 keeps the frontier incrementally: a glue index gives a site its candidate
 tile types from the glues its placed neighbours present, and a placement
-refreshes only that site and its four neighbours.  The frontier stays
-sorted by row, column and tile name as it changes, with bisect, so no step
-re-sorts it.
+refreshes only that site and its four neighbours.  Bisection keeps the
+frontier sorted by row, column and tile name, so no step re-sorts it.
 """
 
 from __future__ import annotations
@@ -352,9 +351,6 @@ class _Frontier:
             self._refresh(p)
 
     def _refresh(self, p: Point) -> None:
-        """Recompute the tile types attachable at p and, if they changed,
-        replace p's run of pairs; the run is contiguous because its pairs
-        share (y, x)."""
         attachable: tuple[TileType, ...] = ()
         if p not in self.tiles:
             totals: dict[str, int] = {}
@@ -375,6 +371,7 @@ class _Frontier:
             self.sites[p] = attachable
         else:
             del self.sites[p]
+        # p's pairs share (y, x), so they form one run in their sorted list
         pairs = self.inside if self.region is None or p in self.region else self.outside
         at = bisect_left(pairs, (p[1], p[0]), key=_pair_key)
         pairs[at : at + len(old)] = [(p, t) for t in attachable]
@@ -488,8 +485,7 @@ def check_strict_self_assembly(
     target_set = frozenset(target)
     for state in _grow(system, region, policy, max_steps):
         steps = len(state.events)
-        # only the seed needs checking, in its row-major order: later tiles
-        # land on checked sites
+        # only the seed (iterated row-major) needs checking: later tiles land on checked sites
         off = next((p for p in state.tiles if p not in target_set), None) if steps == 0 else None
         if off is not None:
             return StrictCheck(VERDICT_VIOLATION, off, f"seed tile off target at {off}", 0)

@@ -523,19 +523,14 @@ class TestKeptOrder:
         # a renamed copy of one tile type shares all its sites
         twin = dataclasses.replace(rng.choice(system.tiles), name="twin")
         system = TileSystem((*system.tiles, twin), system.seed, system.temperature)
-
-        def fresh_sort(inside):
-            pairs = [
-                (p, t)
-                for p, tiles in state.sites.items()
-                if (region is None or p in region) == inside
-                for t in tiles
-            ]
-            return sorted(pairs, key=lambda s: (s[0][1], s[0][0], s[1].name))
-
         for state in _grow(system, region, make_policy(seed), 12):
-            assert state.inside == fresh_sort(True)
-            assert state.outside == fresh_sort(False)
+            pairs = sorted(
+                ((p, t) for p, tiles in state.sites.items() for t in tiles),
+                key=lambda s: (s[0][1], s[0][0], s[1].name),
+            )
+            inside = [s for s in pairs if region is None or s[0] in region]
+            assert state.inside == inside
+            assert state.outside == [s for s in pairs if s not in inside]
             assert state.sites == _Frontier(system, dict(state.tiles), region).sites
 
 
