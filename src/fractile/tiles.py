@@ -24,9 +24,8 @@ import random
 from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Container, Iterable, Iterator, Optional, Sequence
-
-import networkx as nx
 
 from .grid import DIRECTIONS, Direction, Point, PointSet, is_connected, neighbors
 
@@ -203,33 +202,76 @@ def bond_strength(assembly: Mapping[Point, TileType], edge: tuple[Point, Point])
     return glues_bind(_sides(assembly[p])[side], _sides(assembly[q])[side ^ 2])
 
 
-def binding_graph(assembly: Mapping[Point, TileType]) -> "nx.Graph":
-    """Graph on the assembly's cells whose weighted edges are its bonds."""
-    graph = nx.Graph()
-    graph.add_nodes_from(assembly)
-    for p in assembly:
-        for d in (Direction.E, Direction.N):
-            q = d(p)
-            if q in assembly:
-                w = glues_bind(assembly[p].glue(d), assembly[q].glue(d.inverse()))
-                if w > 0:
-                    graph.add_edge(p, q, weight=w)
-    return graph
-
-
 def is_tau_stable(assembly: Mapping[Point, TileType], tau: int) -> bool:
     """Whether every cut of the bond graph weighs at least tau.
 
     Singletons are stable by convention; anything with a bond-disconnected
-    domain admits a weight-zero cut and is not.
+    domain admits a weight-zero cut and is not.  An edge of weight tau or
+    more crosses no lighter cut, so every such edge is contracted as soon
+    as it appears, which leaves tau=1 to connectivity alone.  Stoer-Wagner
+    minimum-cut phases (Stoer and Wagner, JACM 44(4), 1997) decide the
+    rest: the first phase also checks connectivity, and the loop stops at
+    the first phase whose cut is lighter than tau.
     """
-    if len(assembly) <= 1:
-        return True
-    graph = binding_graph(assembly)
-    if not nx.is_connected(graph):
-        return False
-    cut, _ = nx.stoer_wagner(graph)
-    return cut >= tau
+    index = {p: i for i, p in enumerate(assembly)}
+    adj: dict[int, dict[int, int]] = {i: {} for i in index.values()}
+    for p, i in index.items():
+        sides = _sides(assembly[p])
+        for side, q in enumerate(neighbors(p)[:2]):  # north, east
+            j = index.get(q)
+            if j is not None:
+                w = glues_bind(sides[side], _sides(assembly[q])[side ^ 2])
+                if w:
+                    adj[i][j] = adj[j][i] = w
+    strong = [(i, j) for i in adj for j, w in adj[i].items() if w >= tau]
+
+    def merge(s: int, t: int) -> None:
+        """Contract the smaller of s and t into the other, queueing every
+        edge the contraction brings up to tau."""
+        if len(adj[s]) < len(adj[t]):
+            s, t = t, s
+        for b, w in adj.pop(t).items():
+            del adj[b][t]
+            if b != s:
+                adj[s][b] = adj[b][s] = w = adj[s].get(b, 0) + w
+                if w >= tau:
+                    strong.append((s, b))
+
+    while True:
+        while strong:
+            s, t = strong.pop()
+            if t in adj.get(s, ()):
+                merge(s, t)
+        if len(adj) <= 1:
+            return True
+        cut, order = _min_cut_phase(adj)
+        # a search that stops short has found a bond-disconnected part
+        if len(order) < len(adj) or cut < tau:
+            return False
+        merge(*order[-2:])
+
+
+def _min_cut_phase(adj: dict[int, dict[int, int]]) -> tuple[int, list[int]]:
+    """One Stoer-Wagner phase: visit the vertices from an arbitrary start,
+    each time taking the one most tightly bonded to those visited.  Returns
+    the last vertex's total weight to the others, which is a cut, and the
+    visit order, which stops short when the graph is disconnected."""
+    unvisited = dict.fromkeys(adj, 0)
+    heap = [(0, next(iter(adj)))]
+    order: list[int] = []
+    cut = 0
+    while heap:
+        negative, v = heappop(heap)
+        if v not in unvisited:
+            continue
+        del unvisited[v]
+        order.append(v)
+        cut = -negative
+        for b, w in adj[v].items():
+            if b in unvisited:
+                unvisited[b] += w
+                heappush(heap, (-unvisited[b], b))
+    return cut, order
 
 
 def attachment_strength(assembly: Mapping[Point, TileType], p: Point, tile: TileType) -> int:
@@ -328,8 +370,9 @@ class _Frontier:
     """Attachment sites, kept current as tiles are placed: ``sites`` maps
     each to its tile types in name order, and ``inside`` and ``outside``
     list them as (position, tile) pairs sorted by row, column, tile name,
-    within the region and beyond it.  ``_index`` maps (side, glue) to the
-    names of the tile types presenting that positive glue on that side."""
+    within the region and beyond it.  ``_index`` maps (side, glue label,
+    glue strength) to the names of the tile types presenting that positive
+    glue on that side; plain tuple keys hash faster than ``Glue``."""
 
     def __init__(
         self, system: TileSystem, tiles: dict[Point, TileType], region: Optional[Container[Point]]
@@ -342,11 +385,11 @@ class _Frontier:
         self.inside: list[tuple[Point, TileType]] = []
         self.outside: list[tuple[Point, TileType]] = []
         self._by_name = {t.name: t for t in system.tiles}
-        self._index: dict[tuple[int, Glue], list[str]] = {}
+        self._index: dict[tuple[int, str, int], list[str]] = {}
         for t in system.tiles:
             for side, glue in enumerate(_sides(t)):
                 if glue.strength > 0:
-                    self._index.setdefault((side, glue), []).append(t.name)
+                    self._index.setdefault((side, glue.label, glue.strength), []).append(t.name)
         for p in {q for placed in tiles for q in neighbors(placed)}:
             self._refresh(p)
 
@@ -359,7 +402,7 @@ class _Frontier:
                 if placed is None:
                     continue
                 facing = _sides(placed)[side ^ 2]
-                for name in self._index.get((side, facing), ()):
+                for name in self._index.get((side, facing.label, facing.strength), ()):
                     totals[name] = totals.get(name, 0) + facing.strength
             attachable = tuple(
                 self._by_name[name] for name in sorted(totals) if totals[name] >= self.temperature

@@ -162,6 +162,43 @@ def random_assembly(rng, max_cells=6):
     return Assembly(tiles)
 
 
+def glued_assembly(cells, glue):
+    """Tiles t0, t1, ... on cells, the one at p carrying glue[(p, d)] on
+    side d and the null glue where there is none."""
+    return Assembly(
+        {p: TileType(f"t{i}", *(glue.get((p, d), NULL_GLUE) for d in Direction))
+         for i, p in enumerate(cells)}
+    )
+
+
+def random_block(rng, max_cells=12):
+    """Random rectangle of 7 to max_cells cells whose internal edges mostly
+    bond at strength 1-3 under their own labels: cycle-rich bond graphs,
+    often stable at tau 2-4, unlike most of what random_assembly makes."""
+    width = rng.randrange(2, 5)
+    height = rng.randrange(-(-7 // width), max_cells // width + 1)  # rounds 7 / width up
+    cells = [(x, y) for y in range(height) for x in range(width)]
+    glue = {}
+    for p in cells:
+        for d in (Direction.N, Direction.E):
+            strength = rng.choice((0, 1, 1, 2, 2, 3))
+            if d(p) in cells and strength:
+                glue[(p, d)] = glue[(d(p), d.inverse())] = Glue(f"{p[0]}.{p[1]}{d.name}", strength)
+    return glued_assembly(cells, glue)
+
+
+# tau=2 cooperative filler: a corner seed grows a strength-2 row and column,
+# and the inner tile needs both its strength-1 west and south bonds.
+FILL_T2 = """\
+temperature 2
+tile corner N=col:2 E=row:2 S=-:0 W=-:0
+tile row N=r:1 E=row:2 S=-:0 W=row:2
+tile col N=col:2 E=k:1 S=col:2 W=-:0
+tile inner N=r:1 E=k:1 S=r:1 W=k:1
+seed 0 0 corner
+"""
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -291,6 +328,20 @@ def two_by_two_ring():
     return Assembly({(0, 0): t00, (1, 0): t10, (0, 1): t01, (1, 1): t11})
 
 
+def square_ring(side):
+    """The boundary cells of a side x side square, each bonded at strength 1
+    to its two neighbours along the boundary under a label of its own."""
+    last = side - 1
+    ring = [(x, 0) for x in range(last)] + [(last, y) for y in range(last)]
+    ring += [(x, last) for x in range(last, 0, -1)] + [(0, y) for y in range(last, 0, -1)]
+    glue = {}
+    for i, p in enumerate(ring):
+        q = ring[(i + 1) % len(ring)]
+        d = Direction((q[0] - p[0], q[1] - p[1]))
+        glue[(p, d)] = glue[(q, d.inverse())] = Glue(f"r{i}", 1)
+    return glued_assembly(ring, glue)
+
+
 class TestStability:
     def test_bond_strength(self):
         a = TileType("a", east=Glue("x", 1))
@@ -343,6 +394,50 @@ class TestStability:
                 stable += expected
                 unstable += not expected
         assert stable >= 20 and unstable >= 20
+
+    def test_against_cut_enumeration_up_to_twelve_cells(self):
+        rng = random.Random(12)
+        corpus = [random_assembly(rng, max_cells=12) for _ in range(150)]
+        corpus += [random_block(rng) for _ in range(60)]
+        verdicts = {True: 0, False: 0}
+        large_stable = 0
+        for asm in corpus:
+            for tau in (1, 2, 3, 4):
+                expected = oracle_stable(asm, tau)
+                assert is_tau_stable(asm, tau) == expected
+                verdicts[expected] += 1
+                large_stable += expected and tau >= 2 and len(asm) > 6
+        assert max(len(asm) for asm in corpus) == 12
+        assert verdicts[True] >= 100 and verdicts[False] >= 100
+        assert large_stable >= 20
+
+    def test_grown_filler_is_stable_at_two_not_three(self):
+        # far beyond cut enumeration: at tau=2 the strength-2 row and column
+        # contract, and then each inner tile meets the contracted part with
+        # two strength-1 bonds; the top-right corner tile hangs on exactly
+        # two strength-1 bonds, a cut of weight 2
+        seq = run(parse_tile_system(FILL_T2), Box(0, 0, 15, 15))
+        assert len(seq.result) == 256
+        assert is_tau_stable(seq.result, 2)
+        assert not is_tau_stable(seq.result, 3)
+
+    def test_long_ring_survives_tau_two(self):
+        # no two bonds share an endpoint pair, so nothing contracts until
+        # Stoer-Wagner phases have shrunk the ring to a triangle
+        ring = square_ring(16)
+        assert len(ring) == 60
+        assert is_tau_stable(ring, 2)
+        assert not is_tau_stable(ring, 3)
+        broken = dict(ring)
+        broken[(0, 0)] = dataclasses.replace(ring[(0, 0)], east=NULL_GLUE)
+        assert is_tau_stable(broken, 1)
+        assert not is_tau_stable(broken, 2)
+
+    def test_grown_sierpinski_is_a_strength_one_tree(self, sierpinski):
+        seq = run(tree_edge_system(sierpinski, 5), policy=SeededUniformPolicy(1))
+        assert len(seq.result) > 100
+        assert is_tau_stable(seq.result, 1)
+        assert not is_tau_stable(seq.result, 2)
 
 
 @pytest.fixture
