@@ -226,8 +226,8 @@ def is_tau_stable(assembly: Mapping[Point, TileType], tau: int) -> bool:
     strong = [(i, j) for i in adj for j, w in adj[i].items() if w >= tau]
 
     def merge(s: int, t: int) -> None:
-        """Contract the smaller of s and t into the other, queueing every
-        edge the contraction brings up to tau."""
+        """Contract whichever of s and t has fewer neighbours into the
+        other, queueing every edge the contraction brings up to tau."""
         if len(adj[s]) < len(adj[t]):
             s, t = t, s
         for b, w in adj.pop(t).items():
