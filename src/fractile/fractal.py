@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .grid import (
     DIRECTIONS,
@@ -594,17 +594,11 @@ class CensusStats:
     tree_fractal: int
     taxonomy: dict[str, int]
     tree_fractal_generators: tuple[Generator, ...]
-    predicate_hits: Optional[int] = None
 
 
-def census(
-    g: int,
-    predicate: Optional[Callable[[Generator], bool]] = None,
-    allow_large: bool = False,
-) -> CensusStats:
+def census(g: int, allow_large: bool = False) -> CensusStats:
     """Enumerate all patterns of side g containing the origin.
 
-    ``predicate``, when given, is counted over the tree-fractal generators.
     Side 4 means 2**16 candidates and is gated behind ``allow_large``;
     larger sides are refused outright.
     """
@@ -620,7 +614,6 @@ def census(
     valid = 0
     tree_fractal = []
     taxonomy: Counter[str] = Counter()
-    hits = 0
     for mask in range(1 << n_free):
         cells = {(0, 0)}
         for bit in range(n_free):
@@ -637,8 +630,6 @@ def census(
         tree_fractal.append(gen)
         for pr in piers(gen):
             taxonomy[pr.taxonomy] += 1
-        if predicate is not None and predicate(gen):
-            hits += 1
     return CensusStats(
         g=g,
         candidates=1 << n_free,
@@ -646,7 +637,6 @@ def census(
         tree_fractal=len(tree_fractal),
         taxonomy=dict(taxonomy),
         tree_fractal_generators=tuple(tree_fractal),
-        predicate_hits=hits if predicate is not None else None,
     )
 
 

@@ -28,11 +28,8 @@ class Direction(Enum):
     def unit(self) -> Point:
         return self.value
 
-    def apply(self, p: Point) -> Point:
-        return (p[0] + self.value[0], p[1] + self.value[1])
-
     def __call__(self, p: Point) -> Point:
-        return self.apply(p)
+        return (p[0] + self.value[0], p[1] + self.value[1])
 
     def inverse(self) -> "Direction":
         return _INVERSE[self]
@@ -127,16 +124,8 @@ def is_tree(points: Iterable[Point]) -> bool:
     return len(grid_edges(pts)) == len(pts) - 1
 
 
-def d_free(points: Iterable[Point], p: Point, direction: Direction) -> bool:
-    """True when ``p`` has no neighbor of the set in ``direction``."""
-    pts = set(points)
-    if p not in pts:
-        raise ValueError(f"point not in set: {p}")
-    return direction.apply(p) not in pts
-
-
 def free_directions(pts: set | frozenset, p: Point) -> tuple[Direction, ...]:
-    return tuple(d for d in DIRECTIONS if d.apply(p) not in pts)
+    return tuple(d for d in DIRECTIONS if d(p) not in pts)
 
 
 def connected_components(points: Iterable[Point]) -> list[PointSet]:
@@ -159,30 +148,3 @@ def connected_components(points: Iterable[Point]) -> list[PointSet]:
         remaining -= seen
         comps.append(frozenset(seen))
     return comps
-
-
-def shortest_path(points: Iterable[Point], src: Point, dst: Point) -> list[Point]:
-    """Deterministic BFS path from src to dst inside the set.
-
-    Neighbor expansion follows N, E, S, W order, so equal-length paths
-    resolve the same way on every run.  Raises if no path exists.
-    """
-    pts = set(points)
-    if src not in pts or dst not in pts:
-        raise ValueError("path endpoints must belong to the set")
-    prev: dict[Point, Point] = {src: src}
-    queue = deque([src])
-    while queue:
-        p = queue.popleft()
-        if p == dst:
-            path = [p]
-            while path[-1] != src:
-                path.append(prev[path[-1]])
-            path.reverse()
-            return path
-        for d in DIRECTIONS:
-            q = d.apply(p)
-            if q in pts and q not in prev:
-                prev[q] = p
-                queue.append(q)
-    raise ValueError(f"no path from {src} to {dst}")

@@ -12,9 +12,8 @@ into the larger window, and the result still assembles.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from .grid import DIRECTIONS, Direction, Point, translate
+from .grid import DIRECTIONS, Direction, Point, PointSet, translate
 from .tiles import (
     Assembly,
     AssemblySequence,
@@ -25,7 +24,6 @@ from .tiles import (
     glues_bind,
     replay,
 )
-from .windows import WindowLike, inside_of
 
 
 @dataclass(frozen=True)
@@ -37,14 +35,6 @@ class GlueEvent:
     vertex: Point
     orientation: Direction
     glue: Glue
-
-    def translated(self, vec: Point) -> "GlueEvent":
-        return GlueEvent(
-            self.step,
-            (self.vertex[0] + vec[0], self.vertex[1] + vec[1]),
-            self.orientation,
-            self.glue,
-        )
 
 
 @dataclass(frozen=True)
@@ -83,15 +73,16 @@ def _cut_events(inside: frozenset, step: int, pos: Point, tile: TileType) -> lis
     return events
 
 
-def record_movie(seq: AssemblySequence, w: WindowLike) -> WindowMovie:
-    """Record the glue events ``seq`` presents along ``w``'s cut.
+def record_movie(seq: AssemblySequence, inside: PointSet) -> WindowMovie:
+    """Record the glue events ``seq`` presents along the cut around the
+    window ``inside``.
 
     Tiles already present at the start contribute events at step 0,
     ordered by cell (row-major) — their glues face the cut from the
     beginning.  A placement that crosses the cut on several sides emits
     one event per side, ordered by orientation.
     """
-    inside = frozenset(inside_of(w))
+    inside = frozenset(inside)
     events: list[GlueEvent] = []
     start = seq.initial
     for pos in start:
@@ -137,25 +128,6 @@ def submovie_matches(a: BondFormingSubmovie, b: BondFormingSubmovie, vec: Point)
     )
 
 
-def match_up_to_translation(
-    a: BondFormingSubmovie, b: BondFormingSubmovie
-) -> Optional[Point]:
-    """The nonzero shift taking ``a`` to ``b``, if one exists.
-
-    The only viable candidate comes from the first event pair; it is then
-    verified against the full lists.  Returns None when the movies do not
-    match, match only under the zero shift, or are both empty (no
-    candidate is derivable).
-    """
-    if len(a.events) != len(b.events) or not a.events:
-        return None
-    first_a, first_b = a.events[0], b.events[0]
-    vec = (first_b.vertex[0] - first_a.vertex[0], first_b.vertex[1] - first_a.vertex[1])
-    if vec == (0, 0):
-        return None
-    return vec if submovie_matches(a, b, vec) else None
-
-
 def format_movie(movie) -> str:
     """One line per event: ``step x y orientation label strength``."""
     lines = [
@@ -171,7 +143,7 @@ class SpliceError(ValueError):
 
 
 def splice(
-    seq: AssemblySequence, w: WindowLike, w_prime: WindowLike, c_vec: Point
+    seq: AssemblySequence, w: PointSet, w_prime: PointSet, c_vec: Point
 ) -> AssemblySequence:
     """Transplant ``w``'s interior into ``w_prime`` along a matching movie.
 
@@ -188,8 +160,8 @@ def splice(
     hypothesis.  A replay failure after the hypotheses pass is a bug, not
     an input error, and raises RuntimeError.
     """
-    inside_small = frozenset(inside_of(w))
-    inside_big = frozenset(inside_of(w_prime))
+    inside_small = frozenset(w)
+    inside_big = frozenset(w_prime)
     system = seq.system
     result = seq.result
     dx, dy = c_vec

@@ -180,26 +180,9 @@ class TileSystem:
         if not is_tau_stable(self.seed, self.temperature):
             raise ValueError("seed assembly is not stable at this temperature")
 
-    def tile_named(self, name: str) -> TileType:
-        for t in self.tiles:
-            if t.name == name:
-                return t
-        raise KeyError(name)
-
 
 # ---------------------------------------------------------------------------
 # Bonds and stability
-
-
-def bond_strength(assembly: Mapping[Point, TileType], edge: tuple[Point, Point]) -> int:
-    """Strength of the bond carried by one lattice edge of an assembly."""
-    p, q = edge
-    if p not in assembly or q not in assembly:
-        raise ValueError(f"endpoint not placed: {p if p not in assembly else q}")
-    if q not in neighbors(p):
-        raise ValueError(f"points not adjacent: {p}, {q}")
-    side = neighbors(p).index(q)
-    return glues_bind(_sides(assembly[p])[side], _sides(assembly[q])[side ^ 2])
 
 
 def is_tau_stable(assembly: Mapping[Point, TileType], tau: int) -> bool:
@@ -558,14 +541,18 @@ def _format_glue(g: Glue) -> str:
     return f"{g.label}:{g.strength}"
 
 
+def _parse_int(token: str, what: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"line {lineno}: bad {what} {token!r}") from None
+
+
 def _parse_glue(token: str, lineno: int) -> Glue:
     label, sep, raw = token.rpartition(":")
     if not sep or not label:
         raise ValueError(f"line {lineno}: bad glue {token!r}")
-    try:
-        strength = int(raw)
-    except ValueError:
-        raise ValueError(f"line {lineno}: bad glue strength {raw!r}") from None
+    strength = _parse_int(raw, "glue strength", lineno)
     try:
         return Glue(label, strength)
     except ValueError as exc:
@@ -596,7 +583,7 @@ def parse_tile_system(text: str) -> TileSystem:
                 raise ValueError(f"line {lineno}: duplicate temperature")
             if len(tokens) != 2:
                 raise ValueError(f"line {lineno}: expected 'temperature <t>'")
-            temperature = int(tokens[1])
+            temperature = _parse_int(tokens[1], "temperature", lineno)
         elif kind == "tile":
             if len(tokens) != 6:
                 raise ValueError(f"line {lineno}: expected 'tile <name> N=.. E=.. S=.. W=..'")
@@ -615,7 +602,7 @@ def parse_tile_system(text: str) -> TileSystem:
         elif kind == "seed":
             if len(tokens) != 4:
                 raise ValueError(f"line {lineno}: expected 'seed <x> <y> <name>'")
-            x, y = int(tokens[1]), int(tokens[2])
+            x, y = (_parse_int(t, "coordinate", lineno) for t in tokens[1:3])
             if tokens[3] not in by_name:
                 raise ValueError(f"line {lineno}: unknown tile {tokens[3]!r}")
             if (x, y) in seed_placements:

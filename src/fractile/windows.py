@@ -6,55 +6,35 @@ different stages around the same pier/anchor pair are similar, and the
 vector between their corners is what the splicing machinery shifts
 assemblies by.
 
-A window is represented by its inside point set; the window itself — the
-cut separating a finite inside from the infinite outside — is derived on
-demand as the set of edges leaving the inside.  Everything this package
-builds uses axis-aligned squares, and ClosedWindow enforces that shape so
-the inside can never straddle its own cut.
+A window is its inside point set.  The cut separating a finite inside
+from the infinite outside is the set of edges leaving those points;
+nothing builds that edge set, and every function here and in
+:mod:`fractile.movies` takes the points themselves.  ClosedWindow is
+such a set checked to fill an axis-aligned square, the only shape this
+package builds, so the inside can never straddle its own cut.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, TypeVar, Union
+from typing import Iterable
 
 from .grid import DIRECTIONS, Direction, Point, PointSet, extents
 
-V = TypeVar("V")
 
+class ClosedWindow(frozenset):
+    """A square cut of the grid, named by the points it encloses: a
+    frozenset of them, checked on construction to fill a square."""
 
-@dataclass(frozen=True)
-class ClosedWindow:
-    """A square cut of the grid, named by the points it encloses."""
-
-    inside: PointSet
-
-    def __post_init__(self) -> None:
-        pts = frozenset(self.inside)
-        object.__setattr__(self, "inside", pts)
-        if not pts:
+    def __new__(cls, inside: Iterable[Point]) -> "ClosedWindow":
+        self = super().__new__(cls, inside)
+        if not self:
             raise ValueError("window inside must be nonempty")
-        ext = extents(pts)
+        ext = extents(self)
         side = ext.right - ext.left + 1
-        if ext.top - ext.bottom + 1 != side or len(pts) != side * side:
+        if ext.top - ext.bottom + 1 != side or len(self) != side * side:
             raise ValueError("window inside must be a filled axis-aligned square")
-
-    def __contains__(self, p: Point) -> bool:
-        return p in self.inside
-
-    def translate(self, vec: Point) -> "ClosedWindow":
-        dx, dy = vec
-        return ClosedWindow(frozenset((x + dx, y + dy) for (x, y) in self.inside))
-
-    def cut_edges(self) -> frozenset[tuple[Point, Point]]:
-        """Directed boundary edges (inside point, outside neighbor)."""
-        out = set()
-        for p in self.inside:
-            for d in DIRECTIONS:
-                q = d(p)
-                if q not in self.inside:
-                    out.add((p, q))
-        return frozenset(out)
+        return self
 
 
 @dataclass(frozen=True)
@@ -92,18 +72,6 @@ class WindowSpec:
         return (hi * e + lo * p, hi * f + lo * q)
 
 
-WindowLike = Union[ClosedWindow, WindowSpec, PointSet, frozenset, set]
-
-
-def inside_of(w: WindowLike) -> PointSet:
-    """The inside point set of any window representation."""
-    if isinstance(w, ClosedWindow):
-        return w.inside
-    if isinstance(w, WindowSpec):
-        return window_inside(w)
-    return frozenset(w)
-
-
 def window_inside(spec: WindowSpec) -> PointSet:
     """All points enclosed by the window: the square of side c*g**(s-2)
     whose corner combines the anchor-copy and pier offsets."""
@@ -126,14 +94,6 @@ def translation(c: int, g: int, i: int, j: int, e: int, f: int, p: int, q: int) 
     return (hi * e + lo * p, hi * f + lo * q)
 
 
-def translation_between(a: WindowSpec, b: WindowSpec) -> Point:
-    """translation() in terms of two WindowSpecs of the same family."""
-    if (a.c, a.g, a.anchor, a.pier) != (b.c, b.g, b.anchor, b.pier):
-        raise ValueError("windows disagree on scale, side, anchor, or pier")
-    (e, f), (p, q) = a.anchor, a.pier
-    return translation(a.c, a.g, a.stage, b.stage, e, f, p, q)
-
-
 def enclosure_margin(c: int, g: int, i: int, j: int) -> int:
     """The slack m = c*(g**(j-2) - g**(i-2)): how far the corner-aligned
     stage-i window can shift east and north inside the stage-j window."""
@@ -152,27 +112,13 @@ def enclosure_bound_ok(c: int, g: int, i: int, j: int, x: int, y: int) -> bool:
     return x <= m and y <= m
 
 
-def encloses(outer: WindowLike, inner: WindowLike) -> bool:
+def encloses(outer: PointSet, inner: PointSet) -> bool:
     """Whether the inner window's inside lies within the outer's."""
-    return inside_of(inner) <= inside_of(outer)
-
-
-def partition(placed: Mapping[Point, V], w: WindowLike) -> tuple[dict[Point, V], dict[Point, V]]:
-    """Split a cell mapping into its (inside-window, outside-window) parts.
-
-    Accepts any finite inside set, not only squares; an assembly works
-    directly since it is a mapping from points to tile types.
-    """
-    inside = inside_of(w)
-    ins: dict[Point, V] = {}
-    outs: dict[Point, V] = {}
-    for p, v in placed.items():
-        (ins if p in inside else outs)[p] = v
-    return ins, outs
+    return inner <= outer
 
 
 def boundary_contacts(
-    w: WindowLike, shape: Iterable[Point]
+    inside: PointSet, shape: Iterable[Point]
 ) -> dict[Direction, list[tuple[Point, Point]]]:
     """Edges of the shape crossing the window, grouped by the direction of
     the crossing as seen from the inside point.
@@ -180,7 +126,6 @@ def boundary_contacts(
     Each entry (p, q) has p inside the window, q outside, both in the
     shape; lists are sorted by p for reproducibility.
     """
-    inside = inside_of(w)
     shape_set = frozenset(shape)
     out: dict[Direction, list[tuple[Point, Point]]] = {d: [] for d in DIRECTIONS}
     for p in sorted(inside & shape_set):
@@ -191,7 +136,7 @@ def boundary_contacts(
     return out
 
 
-def free_sides(w: WindowLike, shape: Iterable[Point]) -> tuple[Direction, ...]:
+def free_sides(inside: PointSet, shape: Iterable[Point]) -> tuple[Direction, ...]:
     """Directions along which the window cuts no edge of the shape."""
-    contacts = boundary_contacts(w, shape)
+    contacts = boundary_contacts(inside, shape)
     return tuple(d for d in DIRECTIONS if not contacts[d])

@@ -511,11 +511,6 @@ def test_census_g2_counts():
     assert stats.tree_fractal == 3
 
 
-def test_census_pier_predicate():
-    stats = census(2, predicate=lambda gen: len(piers(gen)) >= 2)
-    assert stats.predicate_hits == 3
-
-
 def test_census_rejects_unreasonable_sides():
     with pytest.raises(ValueError, match="side must be at least 2"):
         census(1)

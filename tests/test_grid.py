@@ -14,14 +14,12 @@ from fractile import (
     DIRECTIONS,
     Direction,
     connected_components,
-    d_free,
     extents,
     free_directions,
     grid_edges,
     is_connected,
     is_tree,
     neighbors,
-    shortest_path,
     translate,
 )
 
@@ -90,14 +88,6 @@ def test_neighbors_order():
     assert neighbors((2, 5)) == ((2, 6), (3, 5), (2, 4), (1, 5))
 
 
-def test_d_free():
-    pts = frozenset({(0, 0), (1, 0)})
-    assert d_free(pts, (0, 0), Direction.N)
-    assert not d_free(pts, (0, 0), Direction.E)
-    with pytest.raises(ValueError, match="point not in set"):
-        d_free(pts, (5, 5), Direction.N)
-
-
 def test_free_directions():
     pts = frozenset({(0, 0), (1, 0), (0, 1)})
     assert set(free_directions(pts, (0, 0))) == {Direction.S, Direction.W}
@@ -113,16 +103,6 @@ def test_extents():
     assert (ext.left, ext.right, ext.bottom, ext.top) == (1, 4, 0, 7)
     with pytest.raises(ValueError, match="empty point set"):
         extents(())
-
-
-def test_shortest_path_is_deterministic_and_minimal():
-    pts = frozenset({(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)})
-    path = shortest_path(pts, (0, 0), (2, 1))
-    assert path[0] == (0, 0) and path[-1] == (2, 1)
-    assert len(path) == 4
-    for a, b in zip(path, path[1:]):
-        assert abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1
-    assert path == shortest_path(pts, (0, 0), (2, 1))
 
 
 points_strategy = st.frozensets(

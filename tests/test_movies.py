@@ -17,7 +17,6 @@ from fractile import (
     WindowMovie,
     bond_forming,
     format_movie,
-    match_up_to_translation,
     record_movie,
     replay,
     run,
@@ -42,18 +41,21 @@ def submovie_at(seq, cells):
     return bond_forming(movie, seq.result, seq.system.temperature)
 
 
+def shifted(sub, vec):
+    """``sub`` with every vertex moved by ``vec``, steps kept."""
+    return BondFormingSubmovie(
+        tuple(
+            GlueEvent(e.step, (e.vertex[0] + vec[0], e.vertex[1] + vec[1]), e.orientation, e.glue)
+            for e in sub.events
+        )
+    )
+
+
 def event_tuples(movie):
     return [
         (e.step, e.vertex, e.orientation, e.glue.label, e.glue.strength)
         for e in movie.events
     ]
-
-
-class TestGlueEvent:
-    def test_translated(self):
-        e = GlueEvent(3, (1, 2), Direction.N, Glue("n", 1))
-        moved = e.translated((9, 20))
-        assert moved == GlueEvent(3, (10, 22), Direction.N, Glue("n", 1))
 
 
 class TestRecordMovie:
@@ -159,47 +161,58 @@ class TestMatching:
     def test_adjacent_ribbon_windows_match_one_period_up(self, ribbon_run):
         a = submovie_at(ribbon_run, {(0, 1)})
         b = submovie_at(ribbon_run, {(0, 2)})
-        assert match_up_to_translation(a, b) == (0, 1)
         assert submovie_matches(a, b, (0, 1))
         assert not submovie_matches(a, b, (0, 2))
+        assert not submovie_matches(a, b, (0, 0))
 
     def test_antisymmetric(self, ribbon_run):
         a = submovie_at(ribbon_run, {(0, 1)})
         b = submovie_at(ribbon_run, {(0, 2)})
-        assert match_up_to_translation(b, a) == (0, -1)
+        assert submovie_matches(b, a, (0, -1))
+        assert not submovie_matches(b, a, (0, 1))
 
     def test_identical_movies_do_not_match(self, ribbon_run):
+        # a nonempty movie is its own translate only under the zero shift,
+        # which splice refuses
         a = submovie_at(ribbon_run, {(0, 1)})
-        assert match_up_to_translation(a, a) is None
+        assert submovie_matches(a, a, (0, 0))
+        for vec in ((0, 1), (1, 0), (-1, -1)):
+            assert not submovie_matches(a, a, vec)
 
     def test_constructed_shift_recovered(self, ribbon_run):
         a = submovie_at(ribbon_run, {(0, 1)})
-        shifted = BondFormingSubmovie(tuple(e.translated((9, 20)) for e in a.events))
-        assert match_up_to_translation(a, shifted) == (9, 20)
+        moved = shifted(a, (9, 20))
+        assert submovie_matches(a, moved, (9, 20))
+        assert submovie_matches(moved, a, (-9, -20))
+        assert not submovie_matches(a, moved, (9, 19))
 
     def test_glue_label_difference_spoils_match(self, ribbon_run):
         a = submovie_at(ribbon_run, {(0, 1)})
-        events = [e.translated((0, 1)) for e in a.events]
+        events = list(shifted(a, (0, 1)).events)
         last = events[-1]
         events[-1] = GlueEvent(last.step, last.vertex, last.orientation, Glue("m", 1))
-        assert match_up_to_translation(a, BondFormingSubmovie(tuple(events))) is None
+        assert submovie_matches(a, shifted(a, (0, 1)), (0, 1))
+        assert not submovie_matches(a, BondFormingSubmovie(tuple(events)), (0, 1))
 
-    def test_empty_movies_never_match(self):
+    def test_empty_movies_match_under_any_shift(self, ribbon_run):
         empty = BondFormingSubmovie(())
-        assert match_up_to_translation(empty, empty) is None
-        assert submovie_matches(empty, empty, (1, 0))
+        for vec in ((0, 0), (1, 0), (-3, 7)):
+            assert submovie_matches(empty, empty, vec)
+        a = submovie_at(ribbon_run, {(0, 1)})
+        assert not submovie_matches(empty, a, (0, 0))
+        assert not submovie_matches(a, empty, (0, 0))
 
     def test_steps_are_ignored_order_is_not(self, ribbon_run):
         a = submovie_at(ribbon_run, {(0, 1)})
         renumbered = BondFormingSubmovie(
             tuple(
-                GlueEvent(100 + i, *(e.translated((0, 1)).vertex,), e.orientation, e.glue)
-                for i, e in enumerate(a.events)
+                GlueEvent(100 + i, e.vertex, e.orientation, e.glue)
+                for i, e in enumerate(shifted(a, (0, 1)).events)
             )
         )
-        assert match_up_to_translation(a, renumbered) == (0, 1)
+        assert submovie_matches(a, renumbered, (0, 1))
         reordered = BondFormingSubmovie(renumbered.events[::-1])
-        assert match_up_to_translation(a, reordered) is None
+        assert not submovie_matches(a, reordered, (0, 1))
 
     def test_canonical_key_identifies_translates(self, ribbon_run):
         a = submovie_at(ribbon_run, {(0, 1)})

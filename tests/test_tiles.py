@@ -23,7 +23,6 @@ from fractile import (
     VERDICT_INCOMPLETE_OK,
     VERDICT_VIOLATION,
     attachment_strength,
-    bond_strength,
     check_strict_self_assembly,
     clipped_frontier,
     format_tile_system,
@@ -55,7 +54,7 @@ def bond_edges(placed):
         for d in (Direction.N, Direction.E):
             q = d(p)
             if q in placed:
-                w = bond_strength(placed, (p, q))
+                w = glues_bind(placed[p].glue(d), placed[q].glue(d.inverse()))
                 if w:
                     out.append((p, q, w))
     return out
@@ -128,8 +127,9 @@ GLUE_POOL = tuple(Glue(label, s) for label in LABELS for s in (1, 2))
 def random_assembly(rng, max_cells=6):
     """Random connected placement: most internal edges bonded, some label-
     mismatched or bare, and outward sides sprinkled with pool glues."""
+    size = rng.randrange(2, max_cells + 1)
     cells = {(0, 0)}
-    while len(cells) < rng.randrange(2, max_cells + 1):
+    while len(cells) < size:
         p = rng.choice(sorted(cells))
         cells.add(rng.choice(neighbors(p)))
     sides = {}
@@ -313,11 +313,6 @@ class TestTileSystem:
         with pytest.raises(ValueError, match="seed assembly is not stable"):
             TileSystem((a, b), seed, 2)
 
-    def test_tile_named(self, ribbon_system):
-        assert ribbon_system.tile_named("col").name == "col"
-        with pytest.raises(KeyError):
-            ribbon_system.tile_named("missing")
-
 
 def two_by_two_ring():
     """Four distinct tiles bonded pairwise around a 2x2 square."""
@@ -343,23 +338,6 @@ def square_ring(side):
 
 
 class TestStability:
-    def test_bond_strength(self):
-        a = TileType("a", east=Glue("x", 1))
-        b = TileType("b", west=Glue("x", 1))
-        c = TileType("c", west=Glue("x", 2))
-        asm = {(0, 0): a, (1, 0): b, (2, 0): TileType("d")}
-        assert bond_strength(asm, ((0, 0), (1, 0))) == 1
-        assert bond_strength(asm, ((1, 0), (0, 0))) == 1
-        assert bond_strength(asm, ((1, 0), (2, 0))) == 0
-        assert bond_strength({(0, 0): a, (1, 0): c}, ((0, 0), (1, 0))) == 0
-
-    def test_bond_strength_errors(self):
-        asm = {(0, 0): TileType("a"), (1, 0): TileType("b"), (2, 0): TileType("c")}
-        with pytest.raises(ValueError, match="endpoint not placed"):
-            bond_strength(asm, ((0, 0), (5, 5)))
-        with pytest.raises(ValueError, match="points not adjacent"):
-            bond_strength(asm, ((0, 0), (2, 0)))
-
     def test_single_bond_pair(self):
         a = TileType("a", east=Glue("x", 1))
         b = TileType("b", west=Glue("x", 1))
@@ -480,7 +458,7 @@ class TestFrontier:
         assert frontier(system, grown) == ()
 
     def test_cooperation_needs_both_neighbors(self, cooperation_system):
-        coop = cooperation_system.tile_named("coop")
+        coop = next(t for t in cooperation_system.tiles if t.name == "coop")
         assert attachment_strength(cooperation_system.seed, (1, 1), coop) == 2
         assert attachment_strength(cooperation_system.seed, (0, 2), coop) == 0
         assert frontier(cooperation_system, cooperation_system.seed) == (((1, 1), coop),)
@@ -799,6 +777,8 @@ class TestTasFormat:
             ),
             ("temperature 1\ntile t N=a:1", "line 2: expected 'tile"),
             ("temperature 1\nglue a b", "line 2: unknown directive 'glue'"),
+            ("temperature x", "line 1: bad temperature 'x'"),
+            ("temperature 1\nseed 0 y a", "line 2: bad coordinate 'y'"),
             ("temperature 1\nseed 0 0 ghost", "line 2: unknown tile 'ghost'"),
             (RIBBON_TEXT + "seed 0 0 col", "line 6: duplicate seed position"),
             ("tile t N=-:0 E=-:0 S=-:0 W=-:0\nseed 0 0 t", "missing temperature"),

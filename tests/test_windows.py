@@ -1,4 +1,4 @@
-"""Tests for closed windows, stage-window arithmetic, and enclosure."""
+"""Tests for window point sets, stage-window arithmetic, and enclosure."""
 
 import random
 
@@ -16,12 +16,9 @@ from fractile import (
     enclosure_margin,
     encloses,
     free_sides,
-    inside_of,
-    partition,
     stage,
     translate,
     translation,
-    translation_between,
     window_inside,
 )
 
@@ -32,12 +29,16 @@ def square(corner, side):
     return frozenset((ox + dx, oy + dy) for dx in range(side) for dy in range(side))
 
 
+def contacts_by_side(w, shape):
+    return {d: len(pairs) for d, pairs in boundary_contacts(w, shape).items()}
+
+
 class TestClosedWindow:
     def test_accepts_filled_squares(self):
         for side in (1, 2, 5):
             w = ClosedWindow(square((3, -2), side))
-            assert len(w.inside) == side * side
-            assert isinstance(w.inside, frozenset)
+            assert len(w) == side * side
+            assert isinstance(w, frozenset)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="nonempty"):
@@ -56,26 +57,43 @@ class TestClosedWindow:
         assert (1, 1) in w
         assert (2, 0) not in w
 
+    def test_equals_plain_frozenset(self):
+        pts = square((2, 2), 3)
+        w = ClosedWindow(pts)
+        assert w == pts and pts == w
+        assert hash(w) == hash(pts)
+        assert {pts: "window"}[w] == "window"
+        assert w == set(pts)
+
     def test_translate(self):
+        # a shifted square is still a closed window
         w = ClosedWindow(square((0, 0), 2))
-        assert w.translate((5, -1)).inside == square((5, -1), 2)
+        assert ClosedWindow(translate(w, (5, -1))) == square((5, -1), 2)
 
     def test_cut_edges_unit_window(self):
+        # against a shape covering the whole cut, boundary_contacts lists
+        # exactly the cut edges
         w = ClosedWindow(frozenset({(4, 7)}))
-        assert w.cut_edges() == frozenset(
-            {((4, 7), (4, 8)), ((4, 7), (5, 7)), ((4, 7), (4, 6)), ((4, 7), (3, 7))}
-        )
+        contacts = boundary_contacts(w, square((3, 6), 3))
+        assert contacts == {
+            Direction.N: [((4, 7), (4, 8))],
+            Direction.E: [((4, 7), (5, 7))],
+            Direction.S: [((4, 7), (4, 6))],
+            Direction.W: [((4, 7), (3, 7))],
+        }
 
     def test_cut_edges_point_from_inside(self):
         w = ClosedWindow(square((0, 0), 3))
-        for p, q in w.cut_edges():
-            assert p in w.inside and q not in w.inside
+        for d, pairs in boundary_contacts(w, square((-1, -1), 5)).items():
+            for p, q in pairs:
+                assert p in w and q not in w and d(p) == q
 
     def test_cut_size_is_perimeter(self):
         # a filled n-square has exactly n outgoing edges per side
         for side in (1, 2, 3, 6):
             w = ClosedWindow(square((-1, 2), side))
-            assert len(w.cut_edges()) == 4 * side
+            shape = square((-2, 1), side + 2)
+            assert contacts_by_side(w, shape) == {d: side for d in Direction}
 
 
 class TestWindowSpec:
@@ -118,18 +136,9 @@ class TestWindowSpec:
     def test_closed_window_of_spec(self):
         spec = WindowSpec(2, 3, 3, (1, 1), (0, 2))
         w = closed_window(spec)
-        assert w.inside == window_inside(spec)
-        assert len(w.inside) == spec.side**2
-
-
-class TestInsideOf:
-    def test_all_representations_agree(self):
-        spec = WindowSpec(1, 3, 2, (0, 0), (1, 1))
-        pts = window_inside(spec)
-        assert inside_of(spec) == pts
-        assert inside_of(ClosedWindow(pts)) == pts
-        assert inside_of(set(pts)) == pts
-        assert inside_of(pts) == pts
+        assert isinstance(w, ClosedWindow)
+        assert w == window_inside(spec)
+        assert len(w) == spec.side**2
 
 
 class TestTranslation:
@@ -155,17 +164,6 @@ class TestTranslation:
                         vec = translation(c, g, i, j, e, f, p, q)
                         assert (a.corner[0] + vec[0], a.corner[1] + vec[1]) == b.corner
 
-    def test_translation_between_specs(self):
-        a = WindowSpec(1, 2, 4, (0, 1), (3, 2))
-        b = WindowSpec(1, 3, 4, (0, 1), (3, 2))
-        assert translation_between(a, b) == (9, 18)
-
-    def test_translation_between_rejects_mixed_families(self):
-        a = WindowSpec(1, 2, 4, (0, 1), (3, 2))
-        b = WindowSpec(1, 3, 4, (0, 1), (2, 2))
-        with pytest.raises(ValueError, match="disagree"):
-            translation_between(a, b)
-
 
 class TestEnclosure:
     def test_margin(self):
@@ -186,10 +184,10 @@ class TestEnclosure:
             enclosure_bound_ok(1, 4, 2, 3, -1, 0)
 
     def test_encloses_examples(self):
-        small = WindowSpec(1, 2, 4, (0, 1), (3, 2))
-        big = WindowSpec(1, 3, 4, (0, 1), (3, 2))
+        small = window_inside(WindowSpec(1, 2, 4, (0, 1), (3, 2)))
+        big = window_inside(WindowSpec(1, 3, 4, (0, 1), (3, 2)))
         vec = translation(1, 4, 2, 3, 0, 1, 3, 2)
-        shifted = translate(window_inside(small), vec)
+        shifted = translate(small, vec)
         assert encloses(big, shifted)
         assert encloses(small, small)
         assert not encloses(small, square((40, 40), 2))
@@ -221,40 +219,15 @@ class TestEnclosure:
         assert checked >= 200
 
 
-class TestPartition:
-    def test_disjoint_and_covering_windows(self):
-        placed = {(0, 0): "a", (1, 0): "b"}
-        ins, outs = partition(placed, square((5, 5), 2))
-        assert ins == {} and outs == placed
-        ins, outs = partition(placed, square((0, 0), 2))
-        assert ins == placed and outs == {}
-
-    def test_lossless(self):
-        rng = random.Random(11)
-        placed = {(rng.randrange(6), rng.randrange(6)): i for i in range(30)}
-        w = square((2, 1), 3)
-        ins, outs = partition(placed, w)
-        assert {**ins, **outs} == placed
-        assert not set(ins) & set(outs)
-        assert set(ins) <= w
-
-    def test_sierpinski_pier_cell(self, sierpinski):
-        placed = {p: "tile" for p in stage(sierpinski, 2)}
-        spec = WindowSpec(1, 2, 2, (1, 0), (0, 1))
-        ins, outs = partition(placed, spec)
-        assert set(ins) == {(2, 1)}
-        assert len(outs) == 8
-
-
 class TestBoundaryContacts:
     def test_pier_window_touches_only_south(self, sierpinski):
         shape = stage(sierpinski, 2)
-        spec = WindowSpec(1, 2, 2, (1, 0), (0, 1))
-        contacts = boundary_contacts(spec, shape)
+        w = window_inside(WindowSpec(1, 2, 2, (1, 0), (0, 1)))
+        contacts = boundary_contacts(w, shape)
         assert contacts[Direction.S] == [((2, 1), (2, 0))]
         for d in (Direction.N, Direction.E, Direction.W):
             assert contacts[d] == []
-        assert free_sides(spec, shape) == (Direction.N, Direction.E, Direction.W)
+        assert free_sides(w, shape) == (Direction.N, Direction.E, Direction.W)
 
     def test_origin_block_contacts(self, sierpinski):
         shape = stage(sierpinski, 2)
@@ -278,6 +251,7 @@ class TestBoundaryContacts:
 )
 def test_window_translation_round_trips(side, corner, vec):
     w = ClosedWindow(square(corner, side))
-    moved = w.translate(vec)
-    assert moved.translate((-vec[0], -vec[1])) == w
-    assert len(moved.cut_edges()) == len(w.cut_edges())
+    moved = ClosedWindow(translate(w, vec))
+    assert ClosedWindow(translate(moved, (-vec[0], -vec[1]))) == w
+    shape = square((corner[0] - 1, corner[1] - 1), side + 2)
+    assert contacts_by_side(moved, translate(shape, vec)) == contacts_by_side(w, shape)
