@@ -72,6 +72,13 @@ def _load_generator(path: str) -> Generator:
     return parse_generator(_read(path))
 
 
+def _region(text: str) -> Box:
+    try:
+        return Box.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _policy(name: str, seed: int):
     if name == "uniform":
         return SeededUniformPolicy(seed)
@@ -148,7 +155,7 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     system = parse_tile_system(_read(args.system))
-    region = Box.parse(args.region) if args.region else None
+    region = args.region
     seq = run(system, region, _policy(args.policy, args.seed), args.max_steps)
     lines = [
         f"{ev.index} {ev.position[0]} {ev.position[1]} {ev.tile.name}"
@@ -260,12 +267,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("census", cmd_census, "enumerate all generators of a side")
     p.add_argument("g", type=int, help="side length")
     p.add_argument(
-        "--allow-large", action="store_true", help="permit the 65536-candidate side-4 run"
+        "--allow-large", action="store_true", help="permit the 32768-candidate side-4 run"
     )
 
     p = add("simulate", cmd_simulate, "run a tile system")
     p.add_argument("system", help="path to a .tas file")
-    p.add_argument("--region", help="bounding box x0,y0,x1,y1 (default unbounded)")
+    p.add_argument(
+        "--region", type=_region, help="bounding box x0,y0,x1,y1 (default unbounded)"
+    )
     p.add_argument(
         "--policy", choices=("lex", "uniform"), default="lex", help="selection policy"
     )

@@ -16,7 +16,8 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from math import comb
+from typing import Iterable, Iterator, Optional
 
 from .grid import (
     DIRECTIONS,
@@ -29,6 +30,7 @@ from .grid import (
     grid_edges,
     is_connected,
     is_tree,
+    neighbors,
 )
 
 TAXONOMY_REAL = "real"
@@ -127,14 +129,18 @@ def parse_generator(text: str) -> Generator:
     if lines and lines[-1] == "":
         lines.pop()
     if not lines or not lines[0].startswith("g="):
-        raise ValueError("first line must be g=<int>")
+        raise ValueError("line 1: first line must be g=<int>")
     try:
         g = int(lines[0][2:])
     except ValueError:
-        raise ValueError(f"bad side in header: {lines[0]!r}") from None
+        raise ValueError(f"line 1: bad side in header: {lines[0]!r}") from None
+    if g < 2:
+        raise ValueError(f"line 1: side must be at least 2, got {g}")
     grid_lines = lines[1:]
     if len(grid_lines) != g:
-        raise ValueError(f"expected {g} grid lines, got {len(grid_lines)}")
+        # name the first missing or surplus line
+        lineno = min(len(grid_lines), g) + 2
+        raise ValueError(f"line {lineno}: expected {g} grid lines, got {len(grid_lines)}")
     cells = set()
     for i, line in enumerate(grid_lines):
         if len(line) != g:
@@ -596,43 +602,69 @@ class CensusStats:
     tree_fractal_generators: tuple[Generator, ...]
 
 
-def census(g: int, allow_large: bool = False) -> CensusStats:
-    """Enumerate all patterns of side g containing the origin.
+def _origin_trees(g: int) -> Iterator[PointSet]:
+    """Every induced subtree of the g-by-g grid that contains the origin,
+    each once: a cell joins only beside exactly one placed cell, and a cell
+    once tried is banned for the rest of its branch."""
+    tree = {(0, 0)}
+    seen = {(0, 0), (1, 0), (0, 1)}
 
-    Side 4 means 2**16 candidates and is gated behind ``allow_large``;
+    def grow(untried: list[Point]) -> Iterator[PointSet]:
+        yield frozenset(tree)
+        while untried:
+            cell = untried.pop()
+            if sum(n in tree for n in neighbors(cell)) != 1:
+                continue
+            fresh = [n for n in neighbors(cell) if n not in seen and 0 <= min(n) and max(n) < g]
+            tree.add(cell)
+            seen.update(fresh)
+            yield from grow(untried + fresh)
+            tree.remove(cell)
+            seen.difference_update(fresh)
+
+    return grow([(1, 0), (0, 1)])
+
+
+def census(g: int, allow_large: bool = False) -> CensusStats:
+    """Count the patterns of side g that contain the origin.
+
+    ``valid`` counts those that meet every row and column, by
+    inclusion-exclusion over the rows and columns left empty, because
+    listing them would mean visiting every mask.  A tree-fractal generator
+    is a tree, so only trees are built and checked.  They come from
+    Redelmeier's polyomino enumeration (D. H. Redelmeier, "Counting
+    polyominoes: yet another attack", Discrete Math. 36, 1981) restricted
+    to trees, and are reported in ascending mask order, bit k being the
+    k-th cell in row-major order.
+
+    Side 4 means 2**15 candidates and is gated behind ``allow_large``;
     larger sides are refused outright.
     """
     if g < 2:
         raise ValueError(f"side must be at least 2, got {g}")
     if g == 4 and not allow_large:
-        raise ValueError("side 4 enumerates 65536 candidates; pass allow_large=True")
+        raise ValueError("side 4 has 32768 candidates; pass allow_large=True")
     if g > 4:
         raise ValueError(f"census supports sides up to 4, got {g}")
 
-    order = [(x, y) for y in range(g) for x in range(g) if (x, y) != (0, 0)]
-    n_free = len(order)
-    valid = 0
+    valid = sum(
+        (-1) ** (i + j) * comb(g - 1, i) * comb(g - 1, j) * 2 ** ((g - i) * (g - j) - 1)
+        for i in range(g)
+        for j in range(g)
+    )
     tree_fractal = []
-    taxonomy: Counter[str] = Counter()
-    for mask in range(1 << n_free):
-        cells = {(0, 0)}
-        for bit in range(n_free):
-            if mask >> bit & 1:
-                cells.add(order[bit])
+    for cells in _origin_trees(g):
         try:
-            gen = Generator(g, frozenset(cells))
+            gen = Generator(g, cells)
         except ValueError:
             continue
-        valid += 1
-        ok, _ = is_tree_fractal_generator(gen)
-        if not ok:
-            continue
-        tree_fractal.append(gen)
-        for pr in piers(gen):
-            taxonomy[pr.taxonomy] += 1
+        if is_tree_fractal_generator(gen)[0]:
+            tree_fractal.append(gen)
+    tree_fractal.sort(key=lambda gen: sum(1 << (y * g + x) for (x, y) in gen.cells))
+    taxonomy = Counter(pr.taxonomy for gen in tree_fractal for pr in piers(gen))
     return CensusStats(
         g=g,
-        candidates=1 << n_free,
+        candidates=1 << (g * g - 1),
         valid=valid,
         tree_fractal=len(tree_fractal),
         taxonomy=dict(taxonomy),

@@ -142,7 +142,7 @@ class Box:
 
     def __post_init__(self) -> None:
         if self.x1 < self.x0 or self.y1 < self.y0:
-            raise ValueError("box corners out of order")
+            raise ValueError(f"box corners out of order: {self}")
 
     def __contains__(self, p: Point) -> bool:
         return self.x0 <= p[0] <= self.x1 and self.y0 <= p[1] <= self.y1
@@ -152,10 +152,13 @@ class Box:
 
     @classmethod
     def parse(cls, text: str) -> "Box":
-        parts = text.split(",")
-        if len(parts) != 4:
+        try:
+            coords = [int(p) for p in text.split(",")]
+        except ValueError:
+            coords = []
+        if len(coords) != 4:
             raise ValueError(f"expected x0,y0,x1,y1, got {text!r}")
-        return cls(*(int(p) for p in parts))
+        return cls(*coords)
 
 
 @dataclass(frozen=True)

@@ -85,7 +85,7 @@ class TestAnalyze:
 
     def test_malformed_file_exits_two(self, files, capsys):
         assert main(["analyze", str(files / "bad.gen")]) == 2
-        assert "error: bad side in header: 'g=banana'" in capsys.readouterr().err
+        assert "error: line 1: bad side in header: 'g=banana'" in capsys.readouterr().err
 
     def test_missing_file_exits_two(self, files, capsys):
         assert main(["analyze", str(files / "nope.gen")]) == 2
@@ -138,7 +138,7 @@ class TestCensus:
 
     def test_side_four_needs_opt_in(self, capsys):
         assert main(["census", "4"]) == 2
-        assert "65536" in capsys.readouterr().err
+        assert "32768" in capsys.readouterr().err
 
     def test_side_five_unsupported(self, capsys):
         assert main(["census", "5"]) == 2
@@ -186,6 +186,14 @@ class TestSimulate:
     def test_bad_region_exits_two(self, files, capsys):
         assert main(["simulate", str(files / "ribbon.tas"), "--region", "1,2"]) == 2
         assert "expected x0,y0,x1,y1" in capsys.readouterr().err
+
+    def test_non_integer_region_names_the_option(self, files, capsys):
+        argv = ["simulate", str(files / "ribbon.tas"), "--region", "0,0,a,1"]
+        assert main(argv) == 2
+        assert (
+            "error: argument --region: expected x0,y0,x1,y1, got '0,0,a,1'"
+            in capsys.readouterr().err
+        )
 
 
 class TestMovie:

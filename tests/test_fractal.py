@@ -7,6 +7,7 @@ in the brute-force set of all points satisfying the output contract.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -40,6 +41,8 @@ from fractile import (
     stage_property,
     window_inside,
 )
+from fractile.fractal import _origin_trees
+from fractile.grid import is_tree
 from conftest import HOOK4_CELLS, L_CELLS, REAL_PIER_CELLS, SIERPINSKI_CELLS
 
 U3_CELLS = frozenset({(0, 0), (1, 0), (2, 0), (0, 1), (2, 1), (0, 2), (2, 2)})
@@ -69,12 +72,16 @@ def test_parse_generator_sierpinski():
 
 
 def test_parse_generator_errors():
-    with pytest.raises(ValueError, match="first line must be"):
+    with pytest.raises(ValueError, match="^line 1: first line must be"):
         parse_generator("2\n#.\n##\n")
-    with pytest.raises(ValueError, match="bad side in header"):
+    with pytest.raises(ValueError, match="^line 1: bad side in header: 'g=two'$"):
         parse_generator("g=two\n#.\n##\n")
-    with pytest.raises(ValueError, match="expected 2 grid lines, got 1"):
+    with pytest.raises(ValueError, match="^line 1: side must be at least 2, got 1$"):
+        parse_generator("g=1\n#\n")
+    with pytest.raises(ValueError, match="^line 3: expected 2 grid lines, got 1$"):
         parse_generator("g=2\n##\n")
+    with pytest.raises(ValueError, match="^line 4: expected 2 grid lines, got 3$"):
+        parse_generator("g=2\n#.\n##\n##\n")
     with pytest.raises(ValueError, match="line 2: expected 2 cells, got 3"):
         parse_generator("g=2\n#._\n##\n")
     with pytest.raises(ValueError, match="line 3: bad cell 'x'"):
@@ -509,6 +516,43 @@ def test_census_g2_counts():
     assert stats.candidates == 8
     assert stats.valid == 5
     assert stats.tree_fractal == 3
+
+
+def _census_by_masks(g):
+    """The census as a loop over every origin-containing mask, bit k being
+    the k-th cell after the origin in row-major order: the oracle for the
+    tree growth.  Returns (valid, generators, taxonomy, trees)."""
+    order = [(x, y) for y in range(g) for x in range(g) if (x, y) != (0, 0)]
+    valid = 0
+    found = []
+    taxonomy = Counter()
+    trees = set()
+    for mask in range(1 << len(order)):
+        cells = frozenset({(0, 0)} | {p for k, p in enumerate(order) if mask >> k & 1})
+        if is_tree(cells):
+            trees.add(cells)
+        if {x for x, _ in cells} != set(range(g)) or {y for _, y in cells} != set(range(g)):
+            continue
+        valid += 1
+        gen = Generator(g, cells)
+        if is_tree_fractal_generator(gen)[0]:
+            found.append(gen)
+            taxonomy.update(pr.taxonomy for pr in piers(gen))
+    return valid, tuple(found), dict(taxonomy), trees
+
+
+@pytest.mark.parametrize("g, n_trees", [(2, 6), (3, 56), (4, 1426)])
+def test_census_matches_mask_loop(g, n_trees):
+    stats = census(g, allow_large=True)
+    valid, found, taxonomy, trees = _census_by_masks(g)
+    assert stats.candidates == 1 << (g * g - 1)
+    assert stats.valid == valid
+    assert stats.tree_fractal == len(found)
+    assert stats.taxonomy == taxonomy
+    assert stats.tree_fractal_generators == found
+    grown = list(_origin_trees(g))
+    assert len(grown) == len(set(grown)) == n_trees
+    assert set(grown) == trees
 
 
 def test_census_rejects_unreasonable_sides():

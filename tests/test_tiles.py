@@ -283,7 +283,7 @@ class TestBox:
         assert (3, 0) not in box and (0, -1) not in box
 
     def test_corner_order(self):
-        with pytest.raises(ValueError, match="box corners out of order"):
+        with pytest.raises(ValueError, match="^box corners out of order: 1,0,0,0$"):
             Box(1, 0, 0, 0)
 
     def test_parse_round_trip(self):
@@ -291,6 +291,8 @@ class TestBox:
         assert Box.parse(str(box)) == box
         with pytest.raises(ValueError, match="expected x0,y0,x1,y1"):
             Box.parse("1,2,3")
+        with pytest.raises(ValueError, match="expected x0,y0,x1,y1, got '0,0,a,1'"):
+            Box.parse("0,0,a,1")
 
 
 class TestTileSystem:
