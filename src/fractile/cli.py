@@ -79,6 +79,16 @@ def _region(text: str) -> Box:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _step_budget(text: str) -> int:
+    try:
+        steps = int(text)
+        if steps >= 0:
+            return steps
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+
+
 def _policy(name: str, seed: int):
     if name == "uniform":
         return SeededUniformPolicy(seed)
@@ -279,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--policy", choices=("lex", "uniform"), default="lex", help="selection policy"
     )
     p.add_argument("--seed", type=int, default=0, help="seed for the uniform policy")
-    p.add_argument("--max-steps", type=int, default=100_000, help="step budget")
+    p.add_argument("--max-steps", type=_step_budget, default=100_000, help="step budget")
 
     p = add("movie", cmd_movie, "record a window movie along a stage window")
     p.add_argument("generator", help="path to a .gen file")
@@ -290,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--policy", choices=("lex", "uniform"), default="lex", help="selection policy"
     )
     p.add_argument("--seed", type=int, default=0, help="seed for the uniform policy")
-    p.add_argument("--max-steps", type=int, default=100_000, help="step budget")
+    p.add_argument("--max-steps", type=_step_budget, default=100_000, help="step budget")
     p.add_argument(
         "--bond-forming", action="store_true", help="keep only bond-forming events"
     )
@@ -306,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="run the seeded uniform policy (default: lexicographic)",
     )
-    p.add_argument("--max-steps", type=int, default=100_000, help="step budget")
+    p.add_argument("--max-steps", type=_step_budget, default=100_000, help="step budget")
 
     p = add("render", cmd_render, "SVG of a stage with windows and glue lines")
     p.add_argument("generator", help="path to a .gen file")

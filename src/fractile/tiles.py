@@ -12,10 +12,12 @@ regions stand in for the infinite plane: attachment sites outside the
 region are reported at the end of a run, never silently dropped.
 
 One growth engine serves runs, frontier queries and the strict check.  It
-keeps the frontier incrementally: a glue index gives a site its candidate
-tile types from the glues its placed neighbours present, and a placement
-refreshes only that site and its four neighbours.  Bisection keeps the
-frontier sorted by row, column and tile name, so no step re-sorts it.
+keeps the frontier incrementally: every empty site next to the assembly
+keeps, per tile type, the total strength its placed neighbours' glues
+offer that type.  A placement adds its outward glues to the totals of its
+empty neighbours, and only those sites re-derive which tile types reach
+the temperature.  Bisection keeps the frontier sorted by row, column and
+tile name, so no step re-sorts it.
 """
 
 from __future__ import annotations
@@ -95,17 +97,31 @@ class Assembly(Mapping):
 
     Behaves as an immutable mapping from points to tile types; iteration
     order is row-major from the bottom-left for reproducible output.
+
+    The results of :func:`run` and :func:`replay` skip the connectivity
+    check: they grow from an assembly one attachment at a time, and every
+    attachment bonds with strength at least tau >= 1 to a placed tile, so
+    the domain stays connected.  Every other construction, and so every
+    assembly built from outside input, is checked.
     """
 
     __slots__ = ("_tiles",)
 
     def __init__(self, placements: Mapping[Point, TileType]):
-        tiles = dict(sorted(placements.items(), key=lambda kv: (kv[0][1], kv[0][0])))
+        tiles = _row_major(placements)
         if not tiles:
             raise ValueError("assembly must be nonempty")
         if not is_connected(frozenset(tiles)):
             raise ValueError("assembly domain must be connected")
         object.__setattr__(self, "_tiles", tiles)
+
+    @classmethod
+    def _grown(cls, placements: Mapping[Point, TileType]) -> "Assembly":
+        """Placements grown from a checked assembly by attachments that
+        each reach tau, taken without the connectivity check."""
+        assembly = cls.__new__(cls)
+        object.__setattr__(assembly, "_tiles", _row_major(placements))
+        return assembly
 
     def __setattr__(self, name, value):
         raise AttributeError("assemblies are immutable")
@@ -129,6 +145,10 @@ class Assembly(Mapping):
     def translate(self, vec: Point) -> "Assembly":
         dx, dy = vec
         return Assembly({(x + dx, y + dy): t for (x, y), t in self._tiles.items()})
+
+
+def _row_major(placements: Mapping[Point, TileType]) -> dict[Point, TileType]:
+    return dict(sorted(placements.items(), key=lambda kv: (kv[0][1], kv[0][0])))
 
 
 @dataclass(frozen=True)
@@ -323,7 +343,7 @@ def replay(
         if attachment_strength(tiles, ev.position, ev.tile) < system.temperature:
             raise ReplayError(f"invalid at step {k}: insufficient strength")
         tiles[ev.position] = ev.tile
-    return Assembly(tiles)
+    return Assembly._grown(tiles)
 
 
 class LexicographicPolicy:
@@ -348,17 +368,21 @@ class SeededUniformPolicy:
 # The growth engine
 
 
-def _pair_key(pair: tuple[Point, TileType]) -> tuple[int, int]:
-    return (pair[0][1], pair[0][0])
-
-
 class _Frontier:
     """Attachment sites, kept current as tiles are placed: ``sites`` maps
     each to its tile types in name order, and ``inside`` and ``outside``
     list them as (position, tile) pairs sorted by row, column, tile name,
-    within the region and beyond it.  ``_index`` maps (side, glue label,
-    glue strength) to the names of the tile types presenting that positive
-    glue on that side; plain tuple keys hash faster than ``Glue``."""
+    within the region and beyond it.
+
+    ``_totals`` maps every empty site next to a placed tile to the
+    strength each tile type would bond with there, summed over the placed
+    neighbours.  Placing a tile adds its outward glues to the totals of its
+    empty neighbours, and only those sites re-derive their tile types.
+    ``_binders`` lists, for each tile name, the sides whose positive glue
+    some tile type binds, with the glue's strength and the binding types'
+    names; it is read off an index keyed by (side, glue label, glue
+    strength).  Names and plain tuples are the keys because they hash
+    faster than ``TileType`` and ``Glue``."""
 
     def __init__(
         self, system: TileSystem, tiles: dict[Point, TileType], region: Optional[Container[Point]]
@@ -370,29 +394,44 @@ class _Frontier:
         self.sites: dict[Point, tuple[TileType, ...]] = {}
         self.inside: list[tuple[Point, TileType]] = []
         self.outside: list[tuple[Point, TileType]] = []
+        # (y, x) of each pair above, for bisection
+        self._inside_keys: list[tuple[int, int]] = []
+        self._outside_keys: list[tuple[int, int]] = []
+        self._totals: dict[Point, dict[str, int]] = {}
         self._by_name = {t.name: t for t in system.tiles}
-        self._index: dict[tuple[int, str, int], list[str]] = {}
+        index: dict[tuple[int, str, int], list[str]] = {}
         for t in system.tiles:
             for side, glue in enumerate(_sides(t)):
                 if glue.strength > 0:
-                    self._index.setdefault((side, glue.label, glue.strength), []).append(t.name)
-        for p in {q for placed in tiles for q in neighbors(placed)}:
-            self._refresh(p)
+                    index.setdefault((side ^ 2, glue.label, glue.strength), []).append(t.name)
+        self._binders = {
+            t.name: tuple(
+                (side, glue.strength, index[side, glue.label, glue.strength])
+                for side, glue in enumerate(_sides(t))
+                if (side, glue.label, glue.strength) in index
+            )
+            for t in system.tiles
+        }
+        for p, tile in tiles.items():
+            self._offer(p, tile)
 
-    def _refresh(self, p: Point) -> None:
-        attachable: tuple[TileType, ...] = ()
-        if p not in self.tiles:
-            totals: dict[str, int] = {}
-            for side, q in enumerate(neighbors(p)):
-                placed = self.tiles.get(q)
-                if placed is None:
-                    continue
-                facing = _sides(placed)[side ^ 2]
-                for name in self._index.get((side, facing.label, facing.strength), ()):
-                    totals[name] = totals.get(name, 0) + facing.strength
+    def _offer(self, p: Point, tile: TileType) -> None:
+        """Add the placed tile's outward glues to its empty neighbours'
+        totals."""
+        around = neighbors(p)
+        for side, strength, names in self._binders[tile.name]:
+            q = around[side]
+            if q in self.tiles:
+                continue
+            totals = self._totals.setdefault(q, {})
+            for name in names:
+                totals[name] = totals.get(name, 0) + strength
             attachable = tuple(
                 self._by_name[name] for name in sorted(totals) if totals[name] >= self.temperature
             )
+            self._set_site(q, attachable)
+
+    def _set_site(self, p: Point, attachable: tuple[TileType, ...]) -> None:
         old = self.sites.get(p, ())
         if attachable == old:
             return
@@ -400,22 +439,30 @@ class _Frontier:
             self.sites[p] = attachable
         else:
             del self.sites[p]
+        if self.region is None or p in self.region:
+            pairs, keys = self.inside, self._inside_keys
+        else:
+            pairs, keys = self.outside, self._outside_keys
         # p's pairs share (y, x), so they form one run in their sorted list
-        pairs = self.inside if self.region is None or p in self.region else self.outside
-        at = bisect_left(pairs, (p[1], p[0]), key=_pair_key)
+        key = (p[1], p[0])
+        at = bisect_left(keys, key)
         pairs[at : at + len(old)] = [(p, t) for t in attachable]
+        keys[at : at + len(old)] = [key] * len(attachable)
 
     def place(self, p: Point, tile: TileType) -> None:
         self.tiles[p] = tile
         self.events.append(SequenceEvent(len(self.events) + 1, p, tile))
-        for q in (p, *neighbors(p)):
-            self._refresh(q)
+        del self._totals[p]
+        self._set_site(p, ())
+        self._offer(p, tile)
 
 
 def _grow(
     system: TileSystem, region: Optional[Container[Point]], policy, max_steps: int
 ) -> Iterator[_Frontier]:
     """Yield the state before each step and once after the last."""
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     tiles = dict(system.seed)
     if region is not None and any(p not in region for p in tiles):
         raise ValueError("seed outside region")
@@ -473,7 +520,7 @@ def run(
     """
     for state in _grow(system, region, policy, max_steps):
         pass
-    return AssemblySequence(system, tuple(state.events), Assembly(state.tiles))
+    return AssemblySequence(system, tuple(state.events), Assembly._grown(state.tiles))
 
 
 # ---------------------------------------------------------------------------

@@ -306,3 +306,17 @@ class TestParser:
 
     def test_bad_flag_value(self, files, capsys):
         assert main(["stages", str(files / "sierpinski.gen"), "--stage", "x"]) == 2
+
+    @pytest.mark.parametrize("command", ("simulate", "movie", "refute"))
+    @pytest.mark.parametrize("budget", ("-5", "x"))
+    def test_bad_step_budget_names_the_option(self, files, capsys, command, budget):
+        inputs = [str(files / "uniform.tas")]
+        if command != "simulate":
+            inputs.insert(0, str(files / "sierpinski.gen"))
+        assert main([command, *inputs, "--max-steps", budget]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (
+            f"error: argument --max-steps: expected a nonnegative integer, got '{budget}'"
+            in captured.err
+        )

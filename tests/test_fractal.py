@@ -20,15 +20,12 @@ from fractile import (
     TAXONOMY_REAL,
     WindowSpec,
     boundary_contacts,
-    bridge_counts,
     bridges,
     census,
-    connected_components,
     format_generator,
     free_point_east,
     free_point_north,
     free_point_northeast,
-    grid_edges,
     is_connected,
     is_tree_fractal_generator,
     neighbors,
@@ -41,8 +38,8 @@ from fractile import (
     stage_property,
     window_inside,
 )
-from fractile.fractal import _origin_trees
-from fractile.grid import is_tree
+from fractile.fractal import _origin_trees, bridge_counts
+from fractile.grid import connected_components, grid_edges, is_tree
 from conftest import HOOK4_CELLS, L_CELLS, REAL_PIER_CELLS, SIERPINSKI_CELLS
 
 U3_CELLS = frozenset({(0, 0), (1, 0), (2, 0), (0, 1), (2, 1), (0, 2), (2, 2)})

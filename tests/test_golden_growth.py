@@ -19,11 +19,15 @@ only when a change to the event sequence is intended.
 from __future__ import annotations
 
 import hashlib
+from itertools import product
 from pathlib import Path
+
+import pytest
 
 from fractile import (
     PIER_LABELS_STAGED,
     PIER_LABELS_UNIFORM,
+    Assembly,
     Box,
     LexicographicPolicy,
     SeededUniformPolicy,
@@ -31,6 +35,8 @@ from fractile import (
     check_strict_self_assembly,
     clipped_frontier,
     frontier,
+    is_connected,
+    replay,
     run,
     stage,
     tree_edge_system,
@@ -94,6 +100,21 @@ def generator_lines(key: str, gen):
 def test_growth_matches_golden_table():
     expected = GOLDEN.read_text(encoding="utf-8").splitlines()
     assert list(golden_lines()) == expected
+
+
+@pytest.mark.parametrize("g", (2, 3))
+def test_grown_results_equal_checked_assemblies(g):
+    """``run`` and ``replay`` build their result without the connectivity
+    check; it must iterate exactly as the checked constructor's does."""
+    for gen, depth in product(census(g).tree_fractal_generators, (3, 4)):
+        region = Box(0, 0, g**depth - 1, g**depth - 1)
+        for labels in (PIER_LABELS_UNIFORM, PIER_LABELS_STAGED):
+            system = tree_edge_system(gen, depth, labels)
+            for name in ("lex", "seed1"):
+                seq = run(system, region, _policy(name))
+                for grown in (seq.result, replay(system, seq.events)):
+                    assert list(grown.items()) == list(Assembly(dict(grown)).items())
+                    assert is_connected(grown.domain)
 
 
 if __name__ == "__main__":

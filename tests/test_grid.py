@@ -10,18 +10,8 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from fractile import (
-    DIRECTIONS,
-    Direction,
-    connected_components,
-    extents,
-    free_directions,
-    grid_edges,
-    is_connected,
-    is_tree,
-    neighbors,
-    translate,
-)
+from fractile import DIRECTIONS, Direction, is_connected, neighbors, translate
+from fractile.grid import connected_components, extents, free_directions, grid_edges, is_tree
 
 BOARD3 = [(x, y) for y in range(3) for x in range(3)]
 

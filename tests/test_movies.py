@@ -21,8 +21,8 @@ from fractile import (
     replay,
     run,
     splice,
-    submovie_matches,
 )
+from fractile.movies import submovie_matches
 
 
 @pytest.fixture

@@ -18,7 +18,6 @@ from fractile import (
     TileSystem,
     TileType,
     WindowSpec,
-    alignment_offset,
     boundary_contacts,
     census,
     enclosure_bound_ok,
@@ -35,7 +34,7 @@ from fractile import (
     tree_edge_system,
     window_inside,
 )
-from fractile.refuter import assembly_digest, generator_digest
+from fractile.refuter import alignment_offset, assembly_digest, generator_digest
 
 
 @pytest.fixture

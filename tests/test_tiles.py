@@ -22,12 +22,10 @@ from fractile import (
     TileType,
     VERDICT_INCOMPLETE_OK,
     VERDICT_VIOLATION,
-    attachment_strength,
     check_strict_self_assembly,
     clipped_frontier,
     format_tile_system,
     frontier,
-    glues_bind,
     is_tau_stable,
     neighbors,
     parse_tile_system,
@@ -36,7 +34,7 @@ from fractile import (
     stage,
     tree_edge_system,
 )
-from fractile.tiles import _Frontier, _grow
+from fractile.tiles import _Frontier, _grow, attachment_strength, glues_bind
 
 # ---------------------------------------------------------------------------
 # Oracles: exhaustive cut enumeration, and frontier by definition.
@@ -582,6 +580,17 @@ class TestGrowthAgainstOracleLoop:
         assert verdict.witness is None
 
 
+def random_system_with_twin(rng):
+    """``random_system`` plus a renamed copy of one of its tile types, which
+    shares all that type's sites, so some sites hold several tile types."""
+    system = random_system(rng)
+    twin = dataclasses.replace(rng.choice(system.tiles), name="twin")
+    return TileSystem((*system.tiles, twin), system.seed, system.temperature)
+
+
+GROWTH_REGIONS = (None, SMALL_BOX, Box(-2, -1, 2, 2))
+
+
 class TestKeptOrder:
     """The engine keeps its frontier lists sorted incrementally; at every
     state a run passes through they must equal a fresh sort of its site
@@ -591,13 +600,10 @@ class TestKeptOrder:
     @given(
         st.randoms(use_true_random=False),
         st.sampled_from((None, 0, 1)),
-        st.sampled_from((None, SMALL_BOX, Box(-2, -1, 2, 2))),
+        st.sampled_from(GROWTH_REGIONS),
     )
     def test_lists_match_a_fresh_sort(self, rng, seed, region):
-        system = random_system(rng)
-        # a renamed copy of one tile type shares all its sites
-        twin = dataclasses.replace(rng.choice(system.tiles), name="twin")
-        system = TileSystem((*system.tiles, twin), system.seed, system.temperature)
+        system = random_system_with_twin(rng)
         for state in _grow(system, region, make_policy(seed), 12):
             pairs = sorted(
                 ((p, t) for p, tiles in state.sites.items() for t in tiles),
@@ -607,6 +613,36 @@ class TestKeptOrder:
             assert state.inside == inside
             assert state.outside == [s for s in pairs if s not in inside]
             assert state.sites == _Frontier(system, dict(state.tiles), region).sites
+
+
+def oracle_sites(system, placed):
+    """Every empty neighbour of the placed tiles, with the tile types whose
+    bonds there reach the temperature, in name order."""
+    sites = {}
+    for p in {q for placed_at in placed for q in neighbors(placed_at)} - placed.keys():
+        fits = [t for t in system.tiles if attachment_strength(placed, p, t) >= system.temperature]
+        if fits:
+            sites[p] = tuple(sorted(fits, key=lambda t: t.name))
+    return sites
+
+
+class TestSiteTotals:
+    """The per-site totals the engine keeps, against sites derived from
+    scratch with ``attachment_strength``: at every state a run passes
+    through, and for a state seeded with that state's assembly."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.randoms(use_true_random=False),
+        st.sampled_from((None, 0, 1)),
+        st.sampled_from(GROWTH_REGIONS),
+    )
+    def test_sites_match_attachment_strength(self, rng, seed, region):
+        system = random_system_with_twin(rng)
+        for state in _grow(system, region, make_policy(seed), 12):
+            expected = oracle_sites(system, state.tiles)
+            assert state.sites == expected
+            assert _Frontier(system, dict(state.tiles), region).sites == expected
 
 
 class TestRunAndReplay:
@@ -622,6 +658,13 @@ class TestRunAndReplay:
         seq = run(ribbon_system, ribbon_region, max_steps=0)
         assert seq.events == ()
         assert seq.result.domain == ribbon_system.seed.domain
+
+    def test_negative_budget_is_rejected(self, ribbon_system, ribbon_region):
+        with pytest.raises(ValueError, match=r"max_steps must be >= 0, got -5"):
+            run(ribbon_system, ribbon_region, max_steps=-5)
+        target = ribbon_system.seed.domain
+        with pytest.raises(ValueError, match=r"max_steps must be >= 0, got -1"):
+            check_strict_self_assembly(ribbon_system, target, ribbon_region, max_steps=-1)
 
     def test_monotone_single_tile_steps(self, ribbon_system, ribbon_region):
         seq = run(ribbon_system, ribbon_region)
