@@ -188,13 +188,12 @@ def cmd_movie(args: argparse.Namespace) -> int:
     gen = _load_generator(args.generator)
     system = parse_tile_system(_read(args.system))
     anchor = select_pier_anchor(gen)
+    # the spec checks --scale and --stage before they size the region
+    spec = WindowSpec(args.scale, args.stage, gen.g, anchor.anchor, anchor.pier)
     side = args.scale * gen.g**args.stage
     region = Box(0, 0, side - 1, side - 1)
     seq = run(system, region, _policy(args.policy, args.seed), args.max_steps)
-    window = window_inside(
-        WindowSpec(args.scale, args.stage, gen.g, anchor.anchor, anchor.pier)
-    )
-    movie = record_movie(seq, window)
+    movie = record_movie(seq, window_inside(spec))
     if args.bond_forming:
         movie = bond_forming(movie, seq.result, system.temperature)
     _emit(format_movie(movie), args.out)

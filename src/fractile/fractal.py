@@ -15,9 +15,8 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .grid import (
     DIRECTIONS,
@@ -39,44 +38,36 @@ TAXONOMY_ORTHOGONAL = "orthogonal-single-bridge"
 TAXONOMY_DOUBLE = "double-bridge"
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple("Generator", [("g", int), ("cells", PointSet)])):
     """Occupied cells of a side-g square pattern.
 
-    Invariants, enforced at construction: g >= 2, the origin is occupied,
-    cells stay inside the g-by-g square, and every row and every column of
-    the square holds at least one cell.
+    Invariants, enforced at construction (``_replace`` skips them): g >= 2,
+    the origin is occupied, cells stay inside the g-by-g square, and every
+    row and every column of the square holds at least one cell.
     """
 
-    g: int
-    cells: PointSet
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.g < 2:
-            raise ValueError(f"side must be at least 2, got {self.g}")
-        object.__setattr__(self, "cells", frozenset(self.cells))
-        for (x, y) in self.cells:
-            if not (0 <= x < self.g and 0 <= y < self.g):
-                raise ValueError(f"cell outside {self.g}x{self.g} square: {(x, y)}")
-        if (0, 0) not in self.cells:
+    def __new__(cls, g: int, cells: Iterable[Point]) -> "Generator":
+        if g < 2:
+            raise ValueError(f"side must be at least 2, got {g}")
+        cells = frozenset(cells)
+        for (x, y) in cells:
+            if not (0 <= x < g and 0 <= y < g):
+                raise ValueError(f"cell outside {g}x{g} square: {(x, y)}")
+        if (0, 0) not in cells:
             raise ValueError("origin not occupied")
-        rows = {y for _, y in self.cells}
-        cols = {x for x, _ in self.cells}
-        for k in range(self.g):
+        rows = {y for _, y in cells}
+        cols = {x for x, _ in cells}
+        for k in range(g):
             if k not in rows:
                 raise ValueError(f"row {k} empty")
             if k not in cols:
                 raise ValueError(f"column {k} empty")
-
-    def __contains__(self, p: Point) -> bool:
-        return p in self.cells
-
-    def __len__(self) -> int:
-        return len(self.cells)
+        return super().__new__(cls, g, cells)
 
 
-@dataclass(frozen=True)
-class Bridge:
+class Bridge(NamedTuple):
     """A pair of cells on opposite extremes of the same row or column.
 
     ``kind`` is "horizontal" (leftmost and rightmost cell of row ``index``)
@@ -90,8 +81,7 @@ class Bridge:
     connected: bool
 
 
-@dataclass(frozen=True)
-class Pier:
+class Pier(NamedTuple):
     """A cell free on exactly three sides, pointing away from its support."""
 
     position: Point
@@ -99,8 +89,7 @@ class Pier:
     taxonomy: str
 
 
-@dataclass(frozen=True)
-class PierAnchor:
+class PierAnchor(NamedTuple):
     """A pier together with the stage-copy anchor its windows are built at.
 
     ``pier`` is the (p, q) cell inside the generator, ``anchor`` the (e, f)
@@ -224,10 +213,13 @@ def bridges(points: Iterable[Point]) -> list[Bridge]:
 
 
 def bridge_counts(points: Iterable[Point]) -> tuple[int, int]:
-    """(number of horizontal bridges, number of vertical bridges)."""
-    bs = bridges(points)
-    nh = sum(1 for b in bs if b.kind == "horizontal")
-    return nh, len(bs) - nh
+    """(number of horizontal bridges, number of vertical bridges), counted
+    without the connectivity that :func:`bridges` reports."""
+    pts = set(points)
+    ext = extents(pts)
+    nh = sum((ext.left, y) in pts and (ext.right, y) in pts for y in range(ext.bottom, ext.top + 1))
+    nv = sum((x, ext.bottom) in pts and (x, ext.top) in pts for x in range(ext.left, ext.right + 1))
+    return nh, nv
 
 
 def is_tree_fractal_generator(gen: Generator) -> tuple[bool, str]:
@@ -590,8 +582,7 @@ def stage_property(gen: Generator, s: int) -> bool:
     return bridge_counts(pts) == (1, 1)
 
 
-@dataclass(frozen=True)
-class CensusStats:
+class CensusStats(NamedTuple):
     """Counts from enumerating every generator of a given side."""
 
     g: int
@@ -631,7 +622,8 @@ def census(g: int, allow_large: bool = False) -> CensusStats:
     ``valid`` counts those that meet every row and column, by
     inclusion-exclusion over the rows and columns left empty, because
     listing them would mean visiting every mask.  A tree-fractal generator
-    is a tree, so only trees are built and checked.  They come from
+    is a tree, so only trees are built, and each needs only its bridge
+    counts checked.  They come from
     Redelmeier's polyomino enumeration (D. H. Redelmeier, "Counting
     polyominoes: yet another attack", Discrete Math. 36, 1981) restricted
     to trees, and are reported in ascending mask order, bit k being the
@@ -658,7 +650,7 @@ def census(g: int, allow_large: bool = False) -> CensusStats:
             gen = Generator(g, cells)
         except ValueError:
             continue
-        if is_tree_fractal_generator(gen)[0]:
+        if bridge_counts(gen.cells) == (1, 1):
             tree_fractal.append(gen)
     tree_fractal.sort(key=lambda gen: sum(1 << (y * g + x) for (x, y) in gen.cells))
     taxonomy = Counter(pr.taxonomy for gen in tree_fractal for pr in piers(gen))

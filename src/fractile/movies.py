@@ -11,7 +11,7 @@ into the larger window, and the result still assembles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .grid import DIRECTIONS, Direction, Point, PointSet, translate
 from .tiles import (
@@ -26,8 +26,7 @@ from .tiles import (
 )
 
 
-@dataclass(frozen=True)
-class GlueEvent:
+class GlueEvent(NamedTuple):
     """One glue presented across the cut: ``vertex`` is the cell of the
     tile doing the presenting, ``orientation`` the side it presents on."""
 
@@ -37,16 +36,14 @@ class GlueEvent:
     glue: Glue
 
 
-@dataclass(frozen=True)
-class WindowMovie:
+class WindowMovie(NamedTuple):
     """Every glue event a sequence presents along one window, in order."""
 
     window: frozenset
     events: tuple[GlueEvent, ...]
 
 
-@dataclass(frozen=True)
-class BondFormingSubmovie:
+class BondFormingSubmovie(NamedTuple):
     """The events of a movie whose glues carry bonds in the final result."""
 
     events: tuple[GlueEvent, ...]

@@ -13,10 +13,8 @@ resource-bounded) answer.
 
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .fractal import (
     Generator,
@@ -99,8 +97,7 @@ def alignment_offset(
     return (along, margin)
 
 
-@dataclass(frozen=True)
-class RefutationConfig:
+class RefutationConfig(NamedTuple):
     """One refutation problem: the fractal, the scale, and the candidate
     tile system, plus run bounds.
 
@@ -118,8 +115,7 @@ class RefutationConfig:
     max_steps: int = DEFAULT_MAX_STEPS
 
 
-@dataclass(frozen=True)
-class SpliceCertificate:
+class SpliceCertificate(NamedTuple):
     """A verified counterexample: the splice replays and its result is
     not the target shape."""
 
@@ -137,16 +133,14 @@ class SpliceCertificate:
     replay_ok: bool
 
 
-@dataclass(frozen=True)
-class SubmovieGroup:
+class SubmovieGroup(NamedTuple):
     """Stages whose bond-forming submovies are translates of each other."""
 
     stages: tuple[int, ...]
     submovie: BondFormingSubmovie
 
 
-@dataclass(frozen=True)
-class NoMatchReport:
+class NoMatchReport(NamedTuple):
     """No stage pair matched within the budget — a resource-bounded
     outcome, not a verdict on the tile system."""
 
@@ -290,10 +284,14 @@ def refute(cfg: RefutationConfig) -> Union[SpliceCertificate, NoMatchReport]:
 
 
 def generator_digest(gen: Generator) -> str:
+    import hashlib  # loads OpenSSL; only certificates and no-match reports need it
+
     return hashlib.sha256(format_generator(gen).encode()).hexdigest()
 
 
 def assembly_digest(assembly: Assembly) -> str:
+    import hashlib
+
     text = "".join(f"{x} {y} {assembly[(x, y)].name}\n" for (x, y) in assembly)
     return hashlib.sha256(text.encode()).hexdigest()
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 from typing import Iterable, Sequence
-from xml.etree import ElementTree
 
 from .grid import Point
 
@@ -66,6 +65,8 @@ def render_svg(
     squares of class "window"; each glue edge becomes a thin strip of
     class "glue" across the shared cell boundary.
     """
+    from xml.etree import ElementTree  # only SVG output needs it
+
     size = side * unit
     root = ElementTree.Element(
         "svg",

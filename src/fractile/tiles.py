@@ -18,6 +18,10 @@ offer that type.  A placement adds its outward glues to the totals of its
 empty neighbours, and only those sites re-derive which tile types reach
 the temperature.  Bisection keeps the frontier sorted by row, column and
 tile name, so no step re-sorts it.
+
+Records are named tuples.  Those that check their input (``Glue``,
+``TileType``, ``Box``, ``TileSystem``) do so in ``__new__``, which the
+inherited ``_replace`` and ``_make`` skip, so the package never calls them.
 """
 
 from __future__ import annotations
@@ -25,9 +29,8 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from collections.abc import Mapping
-from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Container, Iterable, Iterator, Optional, Sequence
+from typing import Container, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .grid import DIRECTIONS, Direction, Point, PointSet, is_connected, neighbors
 
@@ -37,24 +40,23 @@ VERDICT_VIOLATION = "VIOLATION"
 VERDICT_INCOMPLETE_OK = "INCOMPLETE-OK"
 
 
-@dataclass(frozen=True)
-class Glue:
+class Glue(NamedTuple("Glue", [("label", str), ("strength", int)])):
     """A side label with a nonnegative binding strength.
 
     The null glue is written ``-`` in files and never binds; the ``-``
     label is reserved for it.
     """
 
-    label: str
-    strength: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.label or any(c.isspace() for c in self.label) or "=" in self.label:
-            raise ValueError(f"bad glue label: {self.label!r}")
-        if self.strength < 0:
-            raise ValueError(f"glue strength must be >= 0, got {self.strength}")
-        if self.label == "-" and self.strength != 0:
+    def __new__(cls, label: str, strength: int) -> "Glue":
+        if not label or any(c.isspace() for c in label) or "=" in label:
+            raise ValueError(f"bad glue label: {label!r}")
+        if strength < 0:
+            raise ValueError(f"glue strength must be >= 0, got {strength}")
+        if label == "-" and strength != 0:
             raise ValueError("the null label '-' cannot carry positive strength")
+        return super().__new__(cls, label, strength)
 
 
 NULL_GLUE = Glue("-", 0)
@@ -68,19 +70,27 @@ def glues_bind(a: Glue, b: Glue) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class TileType:
+class TileType(
+    NamedTuple(
+        "TileType",
+        [("name", str), ("north", Glue), ("east", Glue), ("south", Glue), ("west", Glue)],
+    )
+):
     """An un-rotatable unit tile: a name and one glue per side."""
 
-    name: str
-    north: Glue = NULL_GLUE
-    east: Glue = NULL_GLUE
-    south: Glue = NULL_GLUE
-    west: Glue = NULL_GLUE
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.name or any(c.isspace() for c in self.name):
-            raise ValueError(f"bad tile name: {self.name!r}")
+    def __new__(
+        cls,
+        name: str,
+        north: Glue = NULL_GLUE,
+        east: Glue = NULL_GLUE,
+        south: Glue = NULL_GLUE,
+        west: Glue = NULL_GLUE,
+    ) -> "TileType":
+        if not name or any(c.isspace() for c in name):
+            raise ValueError(f"bad tile name: {name!r}")
+        return super().__new__(cls, name, north, east, south, west)
 
     def glue(self, side: Direction) -> Glue:
         return _sides(self)[DIRECTIONS.index(side)]
@@ -151,18 +161,15 @@ def _row_major(placements: Mapping[Point, TileType]) -> dict[Point, TileType]:
     return dict(sorted(placements.items(), key=lambda kv: (kv[0][1], kv[0][0])))
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(NamedTuple("Box", [("x0", int), ("y0", int), ("x1", int), ("y1", int)])):
     """Inclusive axis-aligned bounding region."""
 
-    x0: int
-    y0: int
-    x1: int
-    y1: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.x1 < self.x0 or self.y1 < self.y0:
-            raise ValueError(f"box corners out of order: {self}")
+    def __new__(cls, x0: int, y0: int, x1: int, y1: int) -> "Box":
+        if x1 < x0 or y1 < y0:
+            raise ValueError(f"box corners out of order: {x0},{y0},{x1},{y1}")
+        return super().__new__(cls, x0, y0, x1, y1)
 
     def __contains__(self, p: Point) -> bool:
         return self.x0 <= p[0] <= self.x1 and self.y0 <= p[1] <= self.y1
@@ -181,27 +188,30 @@ class Box:
         return cls(*coords)
 
 
-@dataclass(frozen=True)
-class TileSystem:
+class TileSystem(
+    NamedTuple(
+        "TileSystem",
+        [("tiles", tuple[TileType, ...]), ("seed", Assembly), ("temperature", int)],
+    )
+):
     """Tile set, seed assembly, and temperature."""
 
-    tiles: tuple[TileType, ...]
-    seed: Assembly
-    temperature: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.temperature < 1:
-            raise ValueError(f"temperature must be >= 1, got {self.temperature}")
-        object.__setattr__(self, "tiles", tuple(self.tiles))
-        names = [t.name for t in self.tiles]
+    def __new__(cls, tiles: Iterable[TileType], seed: Assembly, temperature: int) -> "TileSystem":
+        if temperature < 1:
+            raise ValueError(f"temperature must be >= 1, got {temperature}")
+        tiles = tuple(tiles)
+        names = [t.name for t in tiles]
         if len(set(names)) != len(names):
             raise ValueError("tile names must be unique")
-        known = set(self.tiles)
-        for p, t in self.seed.items():
+        known = set(tiles)
+        for p, t in seed.items():
             if t not in known:
                 raise ValueError(f"seed tile at {p} is not in the tile set")
-        if not is_tau_stable(self.seed, self.temperature):
+        if not is_tau_stable(seed, temperature):
             raise ValueError("seed assembly is not stable at this temperature")
+        return super().__new__(cls, tiles, seed, temperature)
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +303,7 @@ def attachment_strength(assembly: Mapping[Point, TileType], p: Point, tile: Tile
 # Assembly sequences
 
 
-@dataclass(frozen=True)
-class SequenceEvent:
+class SequenceEvent(NamedTuple):
     """One attachment: at step ``index`` the tile was placed at ``position``."""
 
     index: int
@@ -302,8 +311,7 @@ class SequenceEvent:
     tile: TileType
 
 
-@dataclass(frozen=True)
-class AssemblySequence:
+class AssemblySequence(NamedTuple):
     """An ordered construction history.
 
     ``start`` is the assembly the events grow from; None means the
@@ -527,8 +535,7 @@ def run(
 # Bounded strict self-assembly checking
 
 
-@dataclass(frozen=True)
-class StrictCheck:
+class StrictCheck(NamedTuple):
     """Outcome of a bounded strict self-assembly check.
 
     VIOLATION carries a witness cell where the system can grow off the

@@ -16,8 +16,7 @@ package builds, so the inside can never straddle its own cut.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .grid import DIRECTIONS, Direction, Point, PointSet, extents
 
@@ -37,27 +36,29 @@ class ClosedWindow(frozenset):
         return self
 
 
-@dataclass(frozen=True)
-class WindowSpec:
+class WindowSpec(
+    NamedTuple(
+        "WindowSpec",
+        [("c", int), ("stage", int), ("g", int), ("anchor", Point), ("pier", Point)],
+    )
+):
     """Parameters of a stage window: scale c, stage s >= 2, generator side
-    g, anchor copy (e, f) and pier cell (p, q)."""
+    g, anchor copy (e, f) and pier cell (p, q), checked on construction
+    (``_replace`` skips the checks)."""
 
-    c: int
-    stage: int
-    g: int
-    anchor: Point
-    pier: Point
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.c < 1:
-            raise ValueError(f"scale factor must be >= 1, got {self.c}")
-        if self.stage < 2:
-            raise ValueError(f"stage windows exist from stage 2, got {self.stage}")
-        if self.g < 2:
-            raise ValueError(f"side must be at least 2, got {self.g}")
-        for name, (x, y) in (("anchor", self.anchor), ("pier", self.pier)):
-            if not (0 <= x < self.g and 0 <= y < self.g):
-                raise ValueError(f"{name} outside {self.g}x{self.g} square: {(x, y)}")
+    def __new__(cls, c: int, stage: int, g: int, anchor: Point, pier: Point) -> "WindowSpec":
+        if c < 1:
+            raise ValueError(f"scale factor must be >= 1, got {c}")
+        if stage < 2:
+            raise ValueError(f"stage windows exist from stage 2, got {stage}")
+        if g < 2:
+            raise ValueError(f"side must be at least 2, got {g}")
+        for name, (x, y) in (("anchor", anchor), ("pier", pier)):
+            if not (0 <= x < g and 0 <= y < g):
+                raise ValueError(f"{name} outside {g}x{g} square: {(x, y)}")
+        return super().__new__(cls, c, stage, g, anchor, pier)
 
     @property
     def side(self) -> int:

@@ -223,6 +223,13 @@ class TestMovie:
             int(step), int(x), int(y), int(strength)
             assert side in "NESW"
 
+    @pytest.mark.parametrize("factor", ("0", "-1"))
+    def test_bad_scale_names_the_scale(self, files, capsys, factor):
+        argv = ["movie", str(files / "sierpinski.gen"), str(files / "uniform.tas")]
+        assert main(argv + ["--scale", factor]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: scale factor must be >= 1, got {factor}\n"
+
 
 class TestRefute:
     def test_uniform_fixture_certificate(self, files, capsys):

@@ -169,6 +169,14 @@ def test_disconnected_bridge_is_reported():
     assert not h.connected
 
 
+def test_bridge_counts_agree_with_bridges():
+    rng = random.Random(7)
+    for _ in range(300):
+        pts = {(rng.randrange(5), rng.randrange(5)) for _ in range(rng.randrange(1, 12))}
+        kinds = [b.kind for b in bridges(pts)]
+        assert bridge_counts(pts) == (kinds.count("horizontal"), kinds.count("vertical"))
+
+
 def test_tree_fractal_characterization_g2(sierpinski, l_gen, mirrored_l):
     for gen in (sierpinski, l_gen, mirrored_l):
         ok, diagnosis = is_tree_fractal_generator(gen)

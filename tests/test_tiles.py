@@ -1,6 +1,5 @@
 """Tests for tile systems, stability, frontiers, runs, and the .tas format."""
 
-import dataclasses
 import random
 
 import pytest
@@ -407,7 +406,7 @@ class TestStability:
         assert is_tau_stable(ring, 2)
         assert not is_tau_stable(ring, 3)
         broken = dict(ring)
-        broken[(0, 0)] = dataclasses.replace(ring[(0, 0)], east=NULL_GLUE)
+        broken[(0, 0)] = ring[(0, 0)]._replace(east=NULL_GLUE)
         assert is_tau_stable(broken, 1)
         assert not is_tau_stable(broken, 2)
 
@@ -584,7 +583,7 @@ def random_system_with_twin(rng):
     """``random_system`` plus a renamed copy of one of its tile types, which
     shares all that type's sites, so some sites hold several tile types."""
     system = random_system(rng)
-    twin = dataclasses.replace(rng.choice(system.tiles), name="twin")
+    twin = rng.choice(system.tiles)._replace(name="twin")
     return TileSystem((*system.tiles, twin), system.seed, system.temperature)
 
 
