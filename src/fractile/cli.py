@@ -19,7 +19,6 @@ from .fractal import (
     TAXONOMY_REAL,
     bridges,
     census,
-    format_generator,
     is_tree_fractal_generator,
     parse_generator,
     piers,
@@ -37,6 +36,7 @@ from .refuter import (
 )
 from .render import check_cell_budget, format_grid, render_svg
 from .tiles import (
+    DEFAULT_MAX_STEPS,
     Box,
     LexicographicPolicy,
     SeededUniformPolicy,
@@ -128,7 +128,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _render_points(points, side: int, fmt: str, out: Optional[str]) -> int:
-    check_cell_budget(side)
     if fmt == "svg":
         _emit(render_svg(points, side), out)
     else:
@@ -138,15 +137,17 @@ def _render_points(points, side: int, fmt: str, out: Optional[str]) -> int:
 
 def cmd_stages(args: argparse.Namespace) -> int:
     gen = _load_generator(args.generator)
-    points = scale(stage(gen, args.stage), args.scale)
     side = args.scale * gen.g**args.stage
+    check_cell_budget(side)
+    points = scale(stage(gen, args.stage), args.scale)
     return _render_points(points, side, args.format, args.out)
 
 
 def cmd_scale(args: argparse.Namespace) -> int:
     gen = _load_generator(args.generator)
-    points = scale(gen.cells, args.scale)
-    return _render_points(points, args.scale * gen.g, args.format, args.out)
+    side = args.scale * gen.g
+    check_cell_budget(side)
+    return _render_points(scale(gen.cells, args.scale), side, args.format, args.out)
 
 
 def cmd_census(args: argparse.Namespace) -> int:
@@ -195,7 +196,7 @@ def cmd_movie(args: argparse.Namespace) -> int:
     seq = run(system, region, _policy(args.policy, args.seed), args.max_steps)
     movie = record_movie(seq, window_inside(spec))
     if args.bond_forming:
-        movie = bond_forming(movie, seq.result, system.temperature)
+        movie = bond_forming(movie, seq.result)
     _emit(format_movie(movie), args.out)
     return 0
 
@@ -226,19 +227,15 @@ def cmd_render(args: argparse.Namespace) -> int:
     points = scale(stage(gen, args.stage), args.scale)
     windows = []
     glue_edges = []
-    ok, _ = is_tree_fractal_generator(gen)
-    if ok and args.stage >= 2:
-        try:
-            anchor = select_pier_anchor(gen)
-        except ValueError:
-            anchor = None
-        if anchor is not None:
-            for s in range(2, args.stage + 1):
-                inside = window_inside(
-                    WindowSpec(args.scale, s, gen.g, anchor.anchor, anchor.pier)
-                )
-                windows.append(inside)
-                glue_edges.extend(boundary_contacts(inside, points)[anchor.glue_side])
+    try:
+        anchor = select_pier_anchor(gen)
+    except ValueError:  # not a tree fractal, or no usable pier
+        anchor = None
+    if anchor is not None:
+        for s in range(2, args.stage + 1):
+            inside = window_inside(WindowSpec(args.scale, s, gen.g, anchor.anchor, anchor.pier))
+            windows.append(inside)
+            glue_edges.extend(boundary_contacts(inside, points)[anchor.glue_side])
     _emit(render_svg(points, side, windows, glue_edges), args.out)
     return 0
 
@@ -288,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--policy", choices=("lex", "uniform"), default="lex", help="selection policy"
     )
     p.add_argument("--seed", type=int, default=0, help="seed for the uniform policy")
-    p.add_argument("--max-steps", type=_step_budget, default=100_000, help="step budget")
+    p.add_argument("--max-steps", type=_step_budget, default=DEFAULT_MAX_STEPS, help="step budget")
 
     p = add("movie", cmd_movie, "record a window movie along a stage window")
     p.add_argument("generator", help="path to a .gen file")
@@ -299,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--policy", choices=("lex", "uniform"), default="lex", help="selection policy"
     )
     p.add_argument("--seed", type=int, default=0, help="seed for the uniform policy")
-    p.add_argument("--max-steps", type=_step_budget, default=100_000, help="step budget")
+    p.add_argument("--max-steps", type=_step_budget, default=DEFAULT_MAX_STEPS, help="step budget")
     p.add_argument(
         "--bond-forming", action="store_true", help="keep only bond-forming events"
     )
@@ -315,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="run the seeded uniform policy (default: lexicographic)",
     )
-    p.add_argument("--max-steps", type=_step_budget, default=100_000, help="step budget")
+    p.add_argument("--max-steps", type=_step_budget, default=DEFAULT_MAX_STEPS, help="step budget")
 
     p = add("render", cmd_render, "SVG of a stage with windows and glue lines")
     p.add_argument("generator", help="path to a .gen file")

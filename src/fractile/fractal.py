@@ -26,11 +26,10 @@ from .grid import (
     connected_components,
     extents,
     free_directions,
-    grid_edges,
-    is_connected,
     is_tree,
     neighbors,
 )
+from .render import format_grid
 
 TAXONOMY_REAL = "real"
 TAXONOMY_PARALLEL = "parallel-single-bridge"
@@ -145,10 +144,7 @@ def parse_generator(text: str) -> Generator:
 
 def format_generator(gen: Generator) -> str:
     """Inverse of :func:`parse_generator`; round-trips bit-exactly."""
-    rows = []
-    for y in range(gen.g - 1, -1, -1):
-        rows.append("".join("#" if (x, y) in gen.cells else "." for x in range(gen.g)))
-    return f"g={gen.g}\n" + "\n".join(rows) + "\n"
+    return format_grid(gen.cells, gen.g)
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +631,7 @@ def census(g: int, allow_large: bool = False) -> CensusStats:
     if g < 2:
         raise ValueError(f"side must be at least 2, got {g}")
     if g == 4 and not allow_large:
-        raise ValueError("side 4 has 32768 candidates; pass allow_large=True")
+        raise ValueError("side 4 has 32768 candidates; pass allow_large=True or --allow-large")
     if g > 4:
         raise ValueError(f"census supports sides up to 4, got {g}")
 

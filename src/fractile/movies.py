@@ -11,6 +11,7 @@ into the larger window, and the result still assembles.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple
 
 from .grid import DIRECTIONS, Direction, Point, PointSet, translate
@@ -39,7 +40,6 @@ class GlueEvent(NamedTuple):
 class WindowMovie(NamedTuple):
     """Every glue event a sequence presents along one window, in order."""
 
-    window: frozenset
     events: tuple[GlueEvent, ...]
 
 
@@ -86,19 +86,14 @@ def record_movie(seq: AssemblySequence, inside: PointSet) -> WindowMovie:
         events.extend(_cut_events(inside, 0, pos, start[pos]))
     for ev in seq.events:
         events.extend(_cut_events(inside, ev.index, ev.position, ev.tile))
-    return WindowMovie(inside, tuple(events))
+    return WindowMovie(tuple(events))
 
 
-def bond_forming(movie: WindowMovie, result: Assembly, tau: int) -> BondFormingSubmovie:
+def bond_forming(movie: WindowMovie, result: Assembly) -> BondFormingSubmovie:
     """Filter a movie down to the events whose glues actually bond in
-    ``result``.
-
-    ``tau`` is the recording system's temperature; bonding itself is
-    temperature-independent (any positive matched strength is a bond),
-    so it only sanity-checks the call.
+    ``result``.  Bonding is temperature-independent: any positive matched
+    strength is a bond.
     """
-    if tau < 1:
-        raise ValueError(f"temperature must be >= 1, got {tau}")
     kept = []
     for e in movie.events:
         q = e.orientation(e.vertex)
@@ -133,6 +128,15 @@ def format_movie(movie) -> str:
         for e in movie.events
     ]
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def seed_side(start: PointSet, inside: PointSet) -> str:
+    """Where the starting cells ``start`` lie relative to the window
+    ``inside``: "inside", "outside" or "straddle"."""
+    hit = start & inside
+    if not hit:
+        return "outside"
+    return "inside" if hit == start else "straddle"
 
 
 class SpliceError(ValueError):
@@ -171,31 +175,30 @@ def splice(
             " in the target window"
         )
     start = seq.initial
-    start_cells = frozenset(start)
-    in_small = start_cells & inside_small
-    in_big = start_cells & inside_big
-    seed_inside = bool(in_small or in_big)
-    if seed_inside and not (in_small == start_cells and in_big == start_cells):
+    side = seed_side(start.domain, inside_small)
+    if side == "straddle" or side != seed_side(start.domain, inside_big):
         raise SpliceError(
             "seed placement hypothesis failed: the seed must lie inside both"
             " windows or outside both"
         )
-    small_sub = bond_forming(record_movie(seq, inside_small), result, system.temperature)
-    big_sub = bond_forming(record_movie(seq, inside_big), result, system.temperature)
+    small_sub = bond_forming(record_movie(seq, inside_small), result)
+    big_sub = bond_forming(record_movie(seq, inside_big), result)
     if not submovie_matches(small_sub, big_sub, c_vec):
         raise SpliceError(
             "movie hypothesis failed: the bond-forming submovies do not match"
             " under the shift"
         )
 
-    outer_events = [ev for ev in seq.events if ev.position not in inside_big]
-    inner_events = [ev for ev in seq.events if ev.position in inside_small]
+    outer = ((ev.position, ev.tile) for ev in seq.events if ev.position not in inside_big)
+    inner = (
+        ((ev.position[0] + dx, ev.position[1] + dy), ev.tile)
+        for ev in seq.events
+        if ev.position in inside_small
+    )
 
-    gamma0 = start.translate(c_vec) if seed_inside else start
+    gamma0 = start.translate(c_vec) if side == "inside" else start
     placed: dict[Point, TileType] = dict(gamma0)
     rebuilt: list[tuple[Point, TileType]] = []
-    oi = 0
-    ii = 0
 
     def append(pos: Point, tile: TileType) -> None:
         if pos in placed:
@@ -203,40 +206,29 @@ def splice(
         placed[pos] = tile
         rebuilt.append((pos, tile))
 
+    def pull(placements, name: str, v: Point) -> None:
+        while v not in placed:
+            nxt = next(placements, None)
+            if nxt is None:
+                raise RuntimeError(f"splice invariant broken: no {name} placement at {v}")
+            append(*nxt)
+
     # Walk the target-window submovie; each event forces the placements
     # that produce it, pulled from whichever side of the cut it lives on.
     for ev in big_sub.events:
         v = ev.vertex
         if v not in inside_big:
-            while v not in placed:
-                if oi >= len(outer_events):
-                    raise RuntimeError(f"splice invariant broken: no outer placement at {v}")
-                nxt = outer_events[oi]
-                oi += 1
-                append(nxt.position, nxt.tile)
-        else:
-            if v in placed:
-                continue
+            pull(outer, "outer", v)
+        elif v not in placed:
             if (v[0] - dx, v[1] - dy) not in inside_small:
                 raise SpliceError(
                     "movie hypothesis failed: a matched event does not originate"
                     " inside the shifted window"
                 )
-            while v not in placed:
-                if ii >= len(inner_events):
-                    raise RuntimeError(f"splice invariant broken: no inner placement at {v}")
-                nxt = inner_events[ii]
-                ii += 1
-                append((nxt.position[0] + dx, nxt.position[1] + dy), nxt.tile)
+            pull(inner, "inner", v)
 
-    while ii < len(inner_events):
-        nxt = inner_events[ii]
-        ii += 1
-        append((nxt.position[0] + dx, nxt.position[1] + dy), nxt.tile)
-    while oi < len(outer_events):
-        nxt = outer_events[oi]
-        oi += 1
-        append(nxt.position, nxt.tile)
+    for pos, tile in chain(inner, outer):
+        append(pos, tile)
 
     expected = {p: result[p] for p in result if p not in inside_big}
     for p in result:

@@ -127,6 +127,23 @@ class TestStagesAndScale:
             in capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize(
+        "argv, cells",
+        [(["stages", "--stage", "13"], "8192x8192"), (["scale", "--scale", "1500"], "3000x3000")],
+    )
+    def test_cell_cap_checked_before_building(self, files, capsys, monkeypatch, argv, cells):
+        def refuse(*args):
+            raise RuntimeError("built the points before checking the cap")
+
+        monkeypatch.delenv("FRACTILE_CELL_CAP", raising=False)
+        monkeypatch.setattr("fractile.cli.stage", refuse)
+        monkeypatch.setattr("fractile.cli.scale", refuse)
+        argv = [argv[0], str(files / "sierpinski.gen"), *argv[1:]]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: rendering {cells} cells exceeds the cap of 262144; try a smaller stage\n"
+        )
+
 
 class TestCensus:
     def test_side_two(self, files, capsys):
@@ -138,7 +155,9 @@ class TestCensus:
 
     def test_side_four_needs_opt_in(self, capsys):
         assert main(["census", "4"]) == 2
-        assert "32768" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: side 4 has 32768 candidates; pass allow_large=True or --allow-large\n"
+        )
 
     def test_side_five_unsupported(self, capsys):
         assert main(["census", "5"]) == 2

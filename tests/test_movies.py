@@ -38,7 +38,7 @@ def movie_at(seq, cells):
 
 def submovie_at(seq, cells):
     movie = movie_at(seq, cells)
-    return bond_forming(movie, seq.result, seq.system.temperature)
+    return bond_forming(movie, seq.result)
 
 
 def shifted(sub, vec):
@@ -70,7 +70,6 @@ class TestRecordMovie:
             (1, (0, 1), Direction.N, "n", 1),
             (2, (0, 2), Direction.S, "n", 1),
         ]
-        assert movie_at(ribbon_run, {(0, 1)}).window == frozenset({(0, 1)})
 
     def test_one_placement_can_emit_four_ordered_events(self):
         # a tile landing inside a 1x1 window presents all four sides at
@@ -109,12 +108,12 @@ class TestRecordMovie:
 class TestBondForming:
     def test_all_interior_events_kept(self, ribbon_run):
         movie = movie_at(ribbon_run, {(0, 1)})
-        sub = bond_forming(movie, ribbon_run.result, 1)
+        sub = bond_forming(movie, ribbon_run.result)
         assert sub.events == movie.events
 
     def test_glue_facing_empty_cell_excluded(self, ribbon_run):
         movie = movie_at(ribbon_run, {(0, 3)})
-        sub = bond_forming(movie, ribbon_run.result, 1)
+        sub = bond_forming(movie, ribbon_run.result)
         assert (3, (0, 3), Direction.N, "n", 1) in event_tuples(movie)
         assert all(e.vertex != (0, 3) or e.orientation is not Direction.N for e in sub.events)
         assert len(sub.events) == len(movie.events) - 1
@@ -139,22 +138,15 @@ class TestBondForming:
         )
         labels = [e.glue.label for e in seq_movie.events]
         assert "p" in labels and "q" in labels
-        sub = bond_forming(seq_movie, result, 1)
+        sub = bond_forming(seq_movie, result)
         # the bonded edge keeps both of its presentations; p and q vanish
         assert [e.glue.label for e in sub.events] == ["r0", "r0"]
 
     def test_idempotent(self, ribbon_run):
         movie = movie_at(ribbon_run, {(0, 3)})
-        sub = bond_forming(movie, ribbon_run.result, 1)
-        again = bond_forming(
-            WindowMovie(movie.window, sub.events), ribbon_run.result, 1
-        )
+        sub = bond_forming(movie, ribbon_run.result)
+        again = bond_forming(WindowMovie(sub.events), ribbon_run.result)
         assert again.events == sub.events
-
-    def test_rejects_bad_temperature(self, ribbon_run):
-        movie = movie_at(ribbon_run, {(0, 1)})
-        with pytest.raises(ValueError, match="temperature must be >= 1"):
-            bond_forming(movie, ribbon_run.result, 0)
 
 
 class TestMatching:

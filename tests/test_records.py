@@ -94,7 +94,7 @@ def _samples():
         census(2),
         movie.events[0],
         movie,
-        bond_forming(movie, seq.result, uniform.temperature),
+        bond_forming(movie, seq.result),
         cert.config,
         cert,
         report.groups[0],

@@ -198,7 +198,6 @@ class TestRefute:
         assert (cert.i, cert.j) == (2, 3)
         assert cert.alignment == (0, 0)
         assert cert.c_vec == (2, 1)
-        assert cert.replay_ok
         assert len(cert.spliced_domain_diff) == 8
         assert len(cert.submovie.events) == 2
         assert all(e.glue.label == "pier" for e in cert.submovie.events)
@@ -258,12 +257,6 @@ class TestRefute:
             refute(RefutationConfig(sierpinski, 0, uniform_system))
         with pytest.raises(ValueError, match="max stage must be >= 2"):
             refute(RefutationConfig(sierpinski, 1, uniform_system, max_stage=1))
-        with pytest.raises(ValueError, match="region too small for stage 4"):
-            refute(
-                RefutationConfig(
-                    sierpinski, 1, uniform_system, max_stage=4, region=Box(0, 0, 3, 3)
-                )
-            )
 
 
 class TestSerialization:
