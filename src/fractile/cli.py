@@ -9,50 +9,55 @@ from __future__ import annotations
 
 import argparse
 import sys
+from importlib import import_module
 from typing import Optional, Sequence
 
-from .fractal import (
-    Generator,
-    TAXONOMY_DOUBLE,
-    TAXONOMY_ORTHOGONAL,
-    TAXONOMY_PARALLEL,
-    TAXONOMY_REAL,
-    bridges,
-    census,
-    is_tree_fractal_generator,
-    parse_generator,
-    piers,
-    scale,
-    select_pier_anchor,
-    stage,
-)
-from .movies import bond_forming, format_movie, record_movie
-from .refuter import (
-    NoMatchReport,
-    RefutationConfig,
-    format_certificate,
-    format_no_match,
-    refute,
-)
-from .render import check_cell_budget, format_grid, render_svg
-from .tiles import (
-    DEFAULT_MAX_STEPS,
-    Box,
-    LexicographicPolicy,
-    SeededUniformPolicy,
-    clipped_frontier,
-    frontier,
-    parse_tile_system,
-    run,
-)
-from .windows import WindowSpec, boundary_contacts, window_inside
-
-_SHORT_TAXONOMY = {
-    TAXONOMY_REAL: "real",
-    TAXONOMY_PARALLEL: "parallel",
-    TAXONOMY_ORTHOGONAL: "orthogonal",
-    TAXONOMY_DOUBLE: "double",
+# The library names the commands use, by module.  Building the parser
+# needs none of them; main binds the modules of the chosen command once
+# the arguments parse, so a process compiles only what its command runs.
+# Each name also resolves on first access as an attribute of this module,
+# and a name rebound here before main runs is the one the command calls.
+_USES = {
+    "fractal": """Generator TAXONOMY_DOUBLE TAXONOMY_ORTHOGONAL TAXONOMY_PARALLEL
+        TAXONOMY_REAL bridges census is_tree_fractal_generator parse_generator
+        piers scale select_pier_anchor stage""".split(),
+    "movies": "bond_forming format_movie record_movie".split(),
+    "refuter": """NoMatchReport RefutationConfig format_certificate format_no_match
+        refute""".split(),
+    "render": "check_cell_budget format_grid render_svg".split(),
+    "tiles": """DEFAULT_MAX_STEPS Box LexicographicPolicy SeededUniformPolicy
+        clipped_frontier frontier parse_tile_system run""".split(),
+    "windows": "WindowSpec boundary_contacts window_inside".split(),
 }
+
+_COMMAND_USES = {
+    "analyze": ("fractal",),
+    "census": ("fractal",),
+    "simulate": ("tiles",),
+    "stages": ("fractal", "render"),
+    "scale": ("fractal", "render"),
+    "movie": ("fractal", "tiles", "movies", "windows"),
+    "refute": ("fractal", "tiles", "refuter"),
+    "render": ("fractal", "render", "windows"),
+}
+
+
+def _bind(module: str) -> None:
+    found = vars(import_module(f".{module}", __package__))
+    for name in _USES[module]:
+        globals().setdefault(name, found[name])
+
+
+def __getattr__(name: str):
+    for module, names in _USES.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _short(taxonomy: str) -> str:
+    return taxonomy.split("-")[0]
 
 
 def _read(path: str) -> str:
@@ -73,6 +78,7 @@ def _load_generator(path: str) -> Generator:
 
 
 def _region(text: str) -> Box:
+    _bind("tiles")
     try:
         return Box.parse(text)
     except ValueError as exc:
@@ -110,7 +116,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     nh = sum(1 for b in all_bridges if b.kind == "horizontal")
     lines.append(f"bridge counts: {nh} horizontal, {len(all_bridges) - nh} vertical")
     pier_bits = [
-        f"({p.position[0]},{p.position[1]}){p.pointing.name}/{_SHORT_TAXONOMY[p.taxonomy]}"
+        f"({p.position[0]},{p.position[1]}){p.pointing.name}/{_short(p.taxonomy)}"
         for p in piers(gen)
     ]
     lines.append("piers: " + (", ".join(pier_bits) if pier_bits else "none"))
@@ -159,7 +165,7 @@ def cmd_census(args: argparse.Namespace) -> int:
         f"tree-fractal: {stats.tree_fractal}",
     ]
     for tax in (TAXONOMY_REAL, TAXONOMY_PARALLEL, TAXONOMY_ORTHOGONAL, TAXONOMY_DOUBLE):
-        lines.append(f"piers {_SHORT_TAXONOMY[tax]}: {stats.taxonomy.get(tax, 0)}")
+        lines.append(f"piers {_short(tax)}: {stats.taxonomy.get(tax, 0)}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -173,8 +179,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         for ev in seq.events
     ]
     lines.append(f"tiles: {len(seq.result)}")
-    open_sites = frontier(system, seq.result, region)
-    clipped = clipped_frontier(system, seq.result, region) if region else ()
+    # run stops short of its budget only once no site in the region is open
+    at_limit = len(seq.events) == args.max_steps
+    open_sites = frontier(system, seq.result, region) if at_limit else ()
+    clipped = clipped_frontier(system, seq.result, region) if region and not open_sites else ()
     if open_sites:
         lines.append(f"stopped: step limit, {len(open_sites)} open sites")
     elif clipped:
@@ -285,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--policy", choices=("lex", "uniform"), default="lex", help="selection policy"
     )
     p.add_argument("--seed", type=int, default=0, help="seed for the uniform policy")
-    p.add_argument("--max-steps", type=_step_budget, default=DEFAULT_MAX_STEPS, help="step budget")
+    p.add_argument("--max-steps", type=_step_budget, help="step budget")
 
     p = add("movie", cmd_movie, "record a window movie along a stage window")
     p.add_argument("generator", help="path to a .gen file")
@@ -296,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--policy", choices=("lex", "uniform"), default="lex", help="selection policy"
     )
     p.add_argument("--seed", type=int, default=0, help="seed for the uniform policy")
-    p.add_argument("--max-steps", type=_step_budget, default=DEFAULT_MAX_STEPS, help="step budget")
+    p.add_argument("--max-steps", type=_step_budget, help="step budget")
     p.add_argument(
         "--bond-forming", action="store_true", help="keep only bond-forming events"
     )
@@ -312,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="run the seeded uniform policy (default: lexicographic)",
     )
-    p.add_argument("--max-steps", type=_step_budget, default=DEFAULT_MAX_STEPS, help="step budget")
+    p.add_argument("--max-steps", type=_step_budget, help="step budget")
 
     p = add("render", cmd_render, "SVG of a stage with windows and glue lines")
     p.add_argument("generator", help="path to a .gen file")
@@ -329,6 +337,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
+    for module in _COMMAND_USES[args.command]:
+        _bind(module)
+    if getattr(args, "max_steps", 0) is None:
+        args.max_steps = DEFAULT_MAX_STEPS
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -181,6 +181,21 @@ def scale(points: Iterable[Point], c: int) -> PointSet:
 # Bridges and piers
 
 
+def _bridge_ends(pts: set | frozenset) -> list[tuple[str, int, tuple[Point, Point]]]:
+    """(kind, index, endpoints) of every bridge, in :func:`bridges` order."""
+    left, right, bottom, top = extents(pts)
+    ends = [
+        ("horizontal", y, ((left, y), (right, y)))
+        for y in range(bottom, top + 1)
+        if (left, y) in pts and (right, y) in pts
+    ]
+    return ends + [
+        ("vertical", x, ((x, bottom), (x, top)))
+        for x in range(left, right + 1)
+        if (x, bottom) in pts and (x, top) in pts
+    ]
+
+
 def bridges(points: Iterable[Point]) -> list[Bridge]:
     """All horizontal and vertical bridges of a nonempty point set.
 
@@ -190,32 +205,18 @@ def bridges(points: Iterable[Point]) -> list[Bridge]:
     vertical ones by column.
     """
     pts = set(points)
-    ext = extents(pts)
-    comps = connected_components(pts)
-    comp_of = {}
-    for idx, comp in enumerate(comps):
-        for p in comp:
-            comp_of[p] = idx
-    out = []
-    for y in range(ext.bottom, ext.top + 1):
-        a, b = (ext.left, y), (ext.right, y)
-        if a in pts and b in pts:
-            out.append(Bridge("horizontal", y, (a, b), comp_of[a] == comp_of[b]))
-    for x in range(ext.left, ext.right + 1):
-        a, b = (x, ext.bottom), (x, ext.top)
-        if a in pts and b in pts:
-            out.append(Bridge("vertical", x, (a, b), comp_of[a] == comp_of[b]))
-    return out
+    comp_of = {p: idx for idx, comp in enumerate(connected_components(pts)) for p in comp}
+    return [
+        Bridge(kind, i, (a, b), comp_of[a] == comp_of[b]) for kind, i, (a, b) in _bridge_ends(pts)
+    ]
 
 
 def bridge_counts(points: Iterable[Point]) -> tuple[int, int]:
     """(number of horizontal bridges, number of vertical bridges), counted
     without the connectivity that :func:`bridges` reports."""
-    pts = set(points)
-    ext = extents(pts)
-    nh = sum((ext.left, y) in pts and (ext.right, y) in pts for y in range(ext.bottom, ext.top + 1))
-    nv = sum((x, ext.bottom) in pts and (x, ext.top) in pts for x in range(ext.left, ext.right + 1))
-    return nh, nv
+    ends = _bridge_ends(set(points))
+    nh = sum(kind == "horizontal" for kind, _, _ in ends)
+    return nh, len(ends) - nh
 
 
 def is_tree_fractal_generator(gen: Generator) -> tuple[bool, str]:
@@ -239,7 +240,7 @@ def piers(gen: Generator) -> list[Pier]:
     direction whose inverse leads to its single occupied neighbor.  The
     taxonomy records how the pier sits on the pattern's bridges.
     """
-    bs = bridges(gen.cells)
+    ends = _bridge_ends(gen.cells)
     out = []
     for p in sorted(gen.cells, key=lambda q: (q[1], q[0])):
         free = free_directions(gen.cells, p)
@@ -247,13 +248,13 @@ def piers(gen: Generator) -> list[Pier]:
             continue
         (occupied,) = (d for d in DIRECTIONS if d not in free)
         pointing = occupied.inverse()
-        mine = [b for b in bs if p in b.endpoints]
+        mine = [kind for kind, _, pair in ends if p in pair]
         if not mine:
             tax = TAXONOMY_REAL
         elif len(mine) == 2:
             tax = TAXONOMY_DOUBLE
         else:
-            horizontal = mine[0].kind == "horizontal"
+            horizontal = mine[0] == "horizontal"
             along = pointing in (Direction.E, Direction.W)
             tax = TAXONOMY_PARALLEL if horizontal == along else TAXONOMY_ORTHOGONAL
         out.append(Pier(p, pointing, tax))

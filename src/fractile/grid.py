@@ -125,7 +125,7 @@ def is_tree(points: Iterable[Point]) -> bool:
 
 
 def free_directions(pts: set | frozenset, p: Point) -> tuple[Direction, ...]:
-    return tuple(d for d in DIRECTIONS if d(p) not in pts)
+    return tuple(d for d, q in zip(DIRECTIONS, neighbors(p)) if q not in pts)
 
 
 def connected_components(points: Iterable[Point]) -> list[PointSet]:

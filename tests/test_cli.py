@@ -186,6 +186,42 @@ class TestSimulate:
         assert "tiles: 3\n" in out
         assert out.endswith("stopped: step limit, 2 open sites\n")
 
+    @pytest.mark.parametrize(
+        "argv, stopped",
+        [
+            (["--region", "0,0,0,3"], "region boundary, 2 sites clipped"),
+            (["--region", "0,-1,0,3", "--max-steps", "5"], "region boundary, 2 sites clipped"),
+        ],
+    )
+    def test_early_stop_builds_no_frontier(self, files, capsys, monkeypatch, argv, stopped):
+        # a run that stops short of its budget has no open site in its region
+        def refuse(*args):
+            raise RuntimeError("rebuilt the frontier of a run that stopped early")
+
+        monkeypatch.setattr("fractile.cli.frontier", refuse)
+        assert main(["simulate", str(files / "ribbon.tas"), *argv]) == 0
+        assert capsys.readouterr().out.endswith(f"stopped: {stopped}\n")
+
+    def test_bounded_step_limit(self, files, capsys, monkeypatch):
+        # the region clips (0,-1), but open sites remain, so the clipped
+        # ones are neither built nor reported
+        def refuse(*args):
+            raise RuntimeError("built the clipped sites of a step-limit stop")
+
+        monkeypatch.setattr("fractile.cli.clipped_frontier", refuse)
+        argv = ["simulate", str(files / "ribbon.tas"), "--region", "0,0,0,3", "--max-steps", "2"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (
+            "1 0 1 col\n2 0 2 col\ntiles: 3\nstopped: step limit, 1 open sites\n"
+        )
+
+    def test_budget_spent_on_the_last_site(self, files, capsys):
+        argv = ["simulate", str(files / "ribbon.tas"), "--region", "0,-1,0,3", "--max-steps", "4"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.endswith(
+            "tiles: 5\nstopped: region boundary, 2 sites clipped\n"
+        )
+
     def test_seeded_runs_repeat(self, files, capsys):
         argv = [
             "simulate",

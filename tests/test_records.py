@@ -4,12 +4,14 @@ Every record is immutable and hashes like its field tuple, so sets and
 dicts of records iterate in the same order as before; the records that
 check their input still refuse bad values with the same messages.
 Importing the command line loads none of the standard-library modules
-that only some commands need.
+that only some commands need, and importing the package loads none of its
+modules: a command loads only the modules it runs.
 """
 
 import os
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -210,3 +212,65 @@ def test_cli_import_leaves_heavy_modules_unloaded():
     cli = _new_modules("import fractile.cli")
     assert "fractile.cli" in cli
     assert not {"dataclasses", "inspect", "hashlib", "xml.etree.ElementTree"} & (cli - bare)
+    assert not {name for name in _new_modules("import fractile") if name.startswith("fractile.")}
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        (["census", "2"], {"tiles", "movies", "refuter", "windows", "systems"}),
+        (
+            ["simulate", "{tas}", "--region", "0,0,3,3"],
+            {"fractal", "movies", "refuter", "windows", "systems", "render"},
+        ),
+    ],
+)
+def test_command_loads_only_its_modules(tmp_path, argv, unloaded):
+    tas = tmp_path / "ribbon.tas"
+    tas.write_text("temperature 1\ntile col N=n:1 E=-:0 S=n:1 W=-:0\nseed 0 0 col\n")
+    argv = [arg.format(tas=tas) for arg in argv] + ["--out", str(tmp_path / "out.txt")]
+    loaded = _new_modules(f"import fractile.cli\nassert fractile.cli.main({argv!r}) == 0")
+    assert (tmp_path / "out.txt").read_text()
+    assert "fractile.cli" in loaded
+    assert not {f"fractile.{module}" for module in unloaded} & loaded
+
+
+def test_every_public_and_cli_name_resolves():
+    # in a fresh process, so each name resolves on its first access
+    _new_modules(
+        "import fractile, fractile.cli as cli\n"
+        "for name in fractile.__all__: getattr(fractile, name)\n"
+        "for names in cli._USES.values(): [getattr(cli, name) for name in names]"
+    )
+    import fractile
+    import fractile.cli as cli
+
+    for name in fractile.__all__:
+        owner = import_module(f"fractile.{fractile._OWNER[name]}")
+        assert getattr(fractile, name) is getattr(owner, name)
+    for module, names in cli._USES.items():
+        for name in names:
+            assert getattr(cli, name) is getattr(import_module(f"fractile.{module}"), name)
+    assert set(fractile.__all__) <= set(dir(fractile))
+    assert fractile.tiles is import_module("fractile.tiles")
+    with pytest.raises(AttributeError):
+        fractile.no_such_name
+
+
+def test_simulate_calls_a_rebound_run(tmp_path, monkeypatch):
+    import fractile.cli as cli
+    from fractile.tiles import run
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return run(*args)
+
+    monkeypatch.setattr("fractile.cli.run", counted)
+    tas = tmp_path / "ribbon.tas"
+    tas.write_text("temperature 1\ntile col N=n:1 E=-:0 S=n:1 W=-:0\nseed 0 0 col\n")
+    argv = ["simulate", str(tas), "--max-steps", "3", "--out", str(tmp_path / "out.txt")]
+    assert cli.main(argv) == 0
+    assert len(calls) == 1
+    assert (tmp_path / "out.txt").read_text().endswith("stopped: step limit, 2 open sites\n")
