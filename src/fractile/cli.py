@@ -174,10 +174,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     system = parse_tile_system(_read(args.system))
     region = args.region
     seq = run(system, region, _policy(args.policy, args.seed), args.max_steps)
-    lines = [
-        f"{ev.index} {ev.position[0]} {ev.position[1]} {ev.tile.name}"
-        for ev in seq.events
-    ]
+    lines = [f"{index} {x} {y} {tile.name}" for index, (x, y), tile in seq.events]
     lines.append(f"tiles: {len(seq.result)}")
     # run stops short of its budget only once no site in the region is open
     at_limit = len(seq.events) == args.max_steps

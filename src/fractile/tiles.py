@@ -15,8 +15,9 @@ One growth engine serves runs, frontier queries and the strict check.  It
 keeps the frontier incrementally: every empty site next to the assembly
 keeps, per tile type, the total strength its placed neighbours' glues
 offer that type.  A placement adds its outward glues to the totals of its
-empty neighbours, and only those sites re-derive which tile types reach
-the temperature.  Bisection keeps the frontier sorted by row, column and
+empty neighbours.  Glues are positive, so totals only grow, and a site
+re-derives which tile types reach the temperature only when one of its
+totals crosses it.  Bisection keeps the frontier sorted by row, column and
 tile name, so no step re-sorts it.
 
 Records are named tuples.  Those that check their input (``Glue``,
@@ -50,7 +51,7 @@ class Glue(NamedTuple("Glue", [("label", str), ("strength", int)])):
     __slots__ = ()
 
     def __new__(cls, label: str, strength: int) -> "Glue":
-        if not label or any(c.isspace() for c in label) or "=" in label:
+        if label.split() != [label] or "=" in label:
             raise ValueError(f"bad glue label: {label!r}")
         if strength < 0:
             raise ValueError(f"glue strength must be >= 0, got {strength}")
@@ -88,7 +89,7 @@ class TileType(
         south: Glue = NULL_GLUE,
         west: Glue = NULL_GLUE,
     ) -> "TileType":
-        if not name or any(c.isspace() for c in name):
+        if name.split() != [name]:
             raise ValueError(f"bad tile name: {name!r}")
         return super().__new__(cls, name, north, east, south, west)
 
@@ -158,7 +159,12 @@ class Assembly(Mapping):
 
 
 def _row_major(placements: Mapping[Point, TileType]) -> dict[Point, TileType]:
-    return dict(sorted(placements.items(), key=lambda kv: (kv[0][1], kv[0][0])))
+    """The placements by row, then column.  A row's points share y, so
+    they sort by x as plain tuples, with no key function."""
+    rows: dict[int, list[Point]] = {}
+    for p in placements:
+        rows.setdefault(p[1], []).append(p)
+    return {p: placements[p] for y in sorted(rows) for p in sorted(rows[y])}
 
 
 class Box(NamedTuple("Box", [("x0", int), ("y0", int), ("x1", int), ("y1", int)])):
@@ -385,10 +391,12 @@ class _Frontier:
     ``_totals`` maps every empty site next to a placed tile to the
     strength each tile type would bond with there, summed over the placed
     neighbours.  Placing a tile adds its outward glues to the totals of its
-    empty neighbours, and only those sites re-derive their tile types.
-    ``_binders`` lists, for each tile name, the sides whose positive glue
-    some tile type binds, with the glue's strength and the binding types'
-    names; it is read off an index keyed by (side, glue label, glue
+    empty neighbours.  Glues are positive, so totals only grow, and a site
+    is re-derived only when some total crosses the temperature.  ``_lists``
+    holds each site's list and its keys, chosen when it first becomes a
+    site.  ``_binders`` lists, for each tile name, the sides whose positive
+    glue some tile type binds, with the glue's strength and the binding
+    types' names; it is read off an index keyed by (side, glue label, glue
     strength).  Names and plain tuples are the keys because they hash
     faster than ``TileType`` and ``Glue``."""
 
@@ -405,6 +413,7 @@ class _Frontier:
         # (y, x) of each pair above, for bisection
         self._inside_keys: list[tuple[int, int]] = []
         self._outside_keys: list[tuple[int, int]] = []
+        self._lists: dict[Point, tuple[list, list]] = {}
         self._totals: dict[Point, dict[str, int]] = {}
         self._by_name = {t.name: t for t in system.tiles}
         index: dict[tuple[int, str, int], list[str]] = {}
@@ -425,44 +434,46 @@ class _Frontier:
 
     def _offer(self, p: Point, tile: TileType) -> None:
         """Add the placed tile's outward glues to its empty neighbours'
-        totals."""
+        totals, and re-derive each neighbour where one crosses tau."""
+        tiles, all_totals, tau = self.tiles, self._totals, self.temperature
         around = neighbors(p)
         for side, strength, names in self._binders[tile.name]:
             q = around[side]
-            if q in self.tiles:
+            if q in tiles:
                 continue
-            totals = self._totals.setdefault(q, {})
+            totals = all_totals.get(q)
+            if totals is None:
+                totals = all_totals[q] = {}
+            crossed = []
             for name in names:
-                totals[name] = totals.get(name, 0) + strength
-            attachable = tuple(
-                self._by_name[name] for name in sorted(totals) if totals[name] >= self.temperature
-            )
-            self._set_site(q, attachable)
-
-    def _set_site(self, p: Point, attachable: tuple[TileType, ...]) -> None:
-        old = self.sites.get(p, ())
-        if attachable == old:
-            return
-        if attachable:
-            self.sites[p] = attachable
-        else:
-            del self.sites[p]
-        if self.region is None or p in self.region:
-            pairs, keys = self.inside, self._inside_keys
-        else:
-            pairs, keys = self.outside, self._outside_keys
-        # p's pairs share (y, x), so they form one run in their sorted list
-        key = (p[1], p[0])
-        at = bisect_left(keys, key)
-        pairs[at : at + len(old)] = [(p, t) for t in attachable]
-        keys[at : at + len(old)] = [key] * len(attachable)
-
-    def place(self, p: Point, tile: TileType) -> None:
-        self.tiles[p] = tile
-        self.events.append(SequenceEvent(len(self.events) + 1, p, tile))
-        del self._totals[p]
-        self._set_site(p, ())
-        self._offer(p, tile)
+                total = totals.get(name, 0) + strength
+                totals[name] = total
+                if total - strength < tau <= total:
+                    crossed.append(name)
+            if not crossed:
+                continue
+            old = self.sites.get(q, ())
+            if old:
+                pairs, keys = self._lists[q]
+                crossed += [t.name for t in old]
+            elif self.region is None or q in self.region:
+                pairs, keys = self._lists[q] = (self.inside, self._inside_keys)
+            else:
+                pairs, keys = self._lists[q] = (self.outside, self._outside_keys)
+            # q's pairs share (y, x), so they form one run in their sorted list
+            key = (q[1], q[0])
+            at = bisect_left(keys, key)
+            if len(crossed) == 1:
+                # the usual case: q becomes a site with one tile type
+                t = self._by_name[crossed[0]]
+                self.sites[q] = (t,)
+                pairs.insert(at, (q, t))
+                keys.insert(at, key)
+            else:
+                crossed.sort()
+                attachable = self.sites[q] = tuple(self._by_name[name] for name in crossed)
+                pairs[at : at + len(old)] = [(q, t) for t in attachable]
+                keys[at : at + len(old)] = [key] * len(attachable)
 
 
 def _grow(
@@ -477,9 +488,18 @@ def _grow(
     if policy is None:
         policy = LexicographicPolicy()
     state = _Frontier(system, tiles, region)
+    events, sites, inside = state.events, state.sites, state.inside
     yield state
-    while state.inside and len(state.events) < max_steps:
-        state.place(*policy.choose(state.inside))
+    while inside and len(events) < max_steps:
+        p, tile = policy.choose(inside)
+        tiles[p] = tile
+        events.append(SequenceEvent(len(events) + 1, p, tile))
+        del state._totals[p]
+        pairs, keys = state._lists.pop(p)
+        at = bisect_left(keys, (p[1], p[0]))
+        end = at + len(sites.pop(p))
+        del pairs[at:end], keys[at:end]
+        state._offer(p, tile)
         yield state
 
 

@@ -1,6 +1,7 @@
 """Tests for tile systems, stability, frontiers, runs, and the .tas format."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -33,7 +34,7 @@ from fractile import (
     stage,
     tree_edge_system,
 )
-from fractile.tiles import _Frontier, _grow, attachment_strength, glues_bind
+from fractile.tiles import _Frontier, _grow, _row_major, attachment_strength, glues_bind
 
 # ---------------------------------------------------------------------------
 # Oracles: exhaustive cut enumeration, and frontier by definition.
@@ -242,6 +243,14 @@ class TestTileType:
         for name in ("", "a b"):
             with pytest.raises(ValueError, match="bad tile name"):
                 TileType(name)
+
+
+@pytest.mark.parametrize("label", ["a b", "a\tb"])
+def test_whitespace_in_labels_is_rejected(label):
+    with pytest.raises(ValueError, match=f"^bad glue label: {re.escape(repr(label))}$"):
+        Glue(label, 1)
+    with pytest.raises(ValueError, match=f"^bad tile name: {re.escape(repr(label))}$"):
+        TileType(label)
 
 
 class TestAssembly:
@@ -642,6 +651,85 @@ class TestSiteTotals:
             expected = oracle_sites(system, state.tiles)
             assert state.sites == expected
             assert _Frontier(system, dict(state.tiles), region).sites == expected
+
+
+def grow_states(system, region):
+    """(sites, inside, outside, totals) at every state of a lexicographic
+    run."""
+    return [
+        (
+            dict(state.sites),
+            list(state.inside),
+            list(state.outside),
+            {p: dict(t) for p, t in state._totals.items()},
+        )
+        for state in _grow(system, region, LexicographicPolicy(), 10)
+    ]
+
+
+class TestCrossings:
+    """A site's tile types change only when a total crosses tau; these pin
+    the cases a crossing can take."""
+
+    def test_two_types_cross_in_one_placement(self):
+        seed = TileType("s", east=Glue("b", 1))
+        mid = TileType("m", west=Glue("b", 1), east=Glue("a", 1))
+        v, u = TileType("v", west=Glue("a", 1)), TileType("u", west=Glue("a", 1))
+        system = TileSystem((seed, mid, v, u), Assembly({(0, 0): seed}), 1)
+        sites, inside, _, _ = grow_states(system, Box(0, 0, 2, 0))[1]
+        assert sites == {(2, 0): (u, v)}
+        assert inside == [((2, 0), u), ((2, 0), v)]
+
+    @pytest.mark.parametrize("corner_inside", [True, False])
+    def test_later_crossing_keeps_name_order(self, corner_inside):
+        seed = TileType("s", north=Glue("n", 1), east=Glue("e", 1))
+        right = TileType("e1", west=Glue("e", 1), north=Glue("y", 1))
+        up = TileType("n1", south=Glue("n", 1), east=Glue("x", 1))
+        a, b = TileType("a", west=Glue("x", 1)), TileType("b", south=Glue("y", 1))
+        system = TileSystem((seed, right, up, b, a), Assembly({(0, 0): seed}), 1)
+        region = Box(0, 0, 1, 1) if corner_inside else frozenset({(0, 0), (1, 0), (0, 1)})
+        states = grow_states(system, region)
+        # e1 goes to (1, 0), where b crosses at (1, 1); then n1 to (0, 1), where a does
+        if corner_inside:
+            after_e1 = ([((0, 1), up), ((1, 1), b)], [])
+            after_n1 = ([((1, 1), a), ((1, 1), b)], [])
+        else:
+            after_e1 = ([((0, 1), up)], [((1, 1), b)])
+            after_n1 = ([], [((1, 1), a), ((1, 1), b)])
+        assert states[1][1:3] == after_e1
+        assert states[2][0] == {(1, 1): (a, b)}
+        assert states[2][1:3] == after_n1
+
+    def test_total_below_tau_changes_no_site(self, cooperation_system):
+        hub, arm_e, arm_n, coop = cooperation_system.tiles
+        system = TileSystem(cooperation_system.tiles, Assembly({(0, 0): hub}), 2)
+        states = grow_states(system, Box(0, 0, 1, 1))
+        # armE at (1, 0) lifts coop's total at (1, 1) to 1, below tau
+        assert states[0][1] == [((1, 0), arm_e), ((0, 1), arm_n)]
+        assert states[1][:2] == ({(0, 1): (arm_n,)}, [((0, 1), arm_n)])
+        assert states[1][3][(1, 1)] == {"coop": 1}
+        # armN at (0, 1) lifts it to 2, and (1, 1) becomes a site
+        assert states[2][1] == [((1, 1), coop)]
+
+    def test_total_above_tau_changes_no_site(self):
+        seed = TileType("s", north=Glue("n", 1), east=Glue("e", 1))
+        right = TileType("e1", west=Glue("e", 1), north=Glue("y", 1))
+        up = TileType("n1", south=Glue("n", 1), east=Glue("x", 1))
+        both = TileType("c", west=Glue("x", 1), south=Glue("y", 1))
+        system = TileSystem((seed, right, up, both), Assembly({(0, 0): seed}), 1)
+        states = grow_states(system, Box(0, 0, 1, 1))
+        # e1 at (1, 0) makes (1, 1) a site; n1 at (0, 1) lifts its total to 2
+        assert states[1][1] == [((0, 1), up), ((1, 1), both)]
+        assert states[2][:2] == ({(1, 1): (both,)}, [((1, 1), both)])
+        assert states[2][3][(1, 1)] == {"c": 2}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sets(st.tuples(st.integers(-6, 6), st.integers(-6, 6))))
+def test_row_major_matches_a_keyed_sort(points):
+    placements = {p: i for i, p in enumerate(points)}
+    expected = dict(sorted(placements.items(), key=lambda kv: (kv[0][1], kv[0][0])))
+    assert list(_row_major(placements).items()) == list(expected.items())
 
 
 class TestRunAndReplay:
