@@ -23,11 +23,12 @@ _EXPORTS = {
         format_certificate format_no_match glue_line_bound refute""",
     "render": "check_cell_budget format_grid render_svg",
     "systems": "PIER_LABELS_STAGED PIER_LABELS_UNIFORM tree_edge_system",
+    "stability": "is_tau_stable",
     "tiles": """Assembly AssemblySequence Box DEFAULT_MAX_STEPS Glue
         LexicographicPolicy NULL_GLUE ReplayError SeededUniformPolicy
         SequenceEvent StrictCheck TileSystem TileType VERDICT_INCOMPLETE_OK
         VERDICT_VIOLATION check_strict_self_assembly clipped_frontier
-        format_tile_system frontier is_tau_stable parse_tile_system replay run""",
+        format_tile_system frontier parse_tile_system replay run""",
     "windows": """ClosedWindow WindowSpec boundary_contacts closed_window
         enclosure_bound_ok enclosure_margin encloses free_sides translation
         window_inside""",

@@ -18,7 +18,8 @@ offer that type.  A placement adds its outward glues to the totals of its
 empty neighbours.  Glues are positive, so totals only grow, and a site
 re-derives which tile types reach the temperature only when one of its
 totals crosses it.  Bisection keeps the frontier sorted by row, column and
-tile name, so no step re-sorts it.
+tile name, so no step re-sorts it.  A run's result keeps its final
+frontier and answers its own frontier queries with it.
 
 Records are named tuples.  Those that check their input (``Glue``,
 ``TileType``, ``Box``, ``TileSystem``) do so in ``__new__``, which the
@@ -30,10 +31,10 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from collections.abc import Mapping
-from heapq import heappop, heappush
 from typing import Container, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .grid import DIRECTIONS, Direction, Point, PointSet, is_connected, neighbors
+from .stability import _sides, glues_bind, is_tau_stable
 
 DEFAULT_MAX_STEPS = 100_000
 
@@ -63,14 +64,6 @@ class Glue(NamedTuple("Glue", [("label", str), ("strength", int)])):
 NULL_GLUE = Glue("-", 0)
 
 
-def glues_bind(a: Glue, b: Glue) -> int:
-    """Strength of the bond two facing glues form: their common strength
-    when they are equal in both label and strength, else zero."""
-    if a.label == b.label and a.strength == b.strength and a.strength > 0:
-        return a.strength
-    return 0
-
-
 class TileType(
     NamedTuple(
         "TileType",
@@ -97,12 +90,6 @@ class TileType(
         return _sides(self)[DIRECTIONS.index(side)]
 
 
-def _sides(tile: TileType) -> tuple[Glue, Glue, Glue, Glue]:
-    """Glues in N, E, S, W order, the order of :func:`grid.neighbors`; side
-    ``i`` of one tile faces side ``i ^ 2`` of the next."""
-    return (tile.north, tile.east, tile.south, tile.west)
-
-
 class Assembly(Mapping):
     """A nonempty, connected placement of tile types on the lattice.
 
@@ -116,7 +103,7 @@ class Assembly(Mapping):
     assembly built from outside input, is checked.
     """
 
-    __slots__ = ("_tiles",)
+    __slots__ = ("_tiles", "_frontier")
 
     def __init__(self, placements: Mapping[Point, TileType]):
         tiles = _row_major(placements)
@@ -125,13 +112,15 @@ class Assembly(Mapping):
         if not is_connected(frozenset(tiles)):
             raise ValueError("assembly domain must be connected")
         object.__setattr__(self, "_tiles", tiles)
+        object.__setattr__(self, "_frontier", None)
 
     @classmethod
-    def _grown(cls, placements: Mapping[Point, TileType]) -> "Assembly":
+    def _grown(cls, placements: Mapping[Point, TileType], final=None) -> "Assembly":
         """Placements grown from a checked assembly by attachments that
         each reach tau, taken without the connectivity check."""
         assembly = cls.__new__(cls)
         object.__setattr__(assembly, "_tiles", _row_major(placements))
+        object.__setattr__(assembly, "_frontier", final)
         return assembly
 
     def __setattr__(self, name, value):
@@ -220,82 +209,6 @@ class TileSystem(
         return super().__new__(cls, tiles, seed, temperature)
 
 
-# ---------------------------------------------------------------------------
-# Bonds and stability
-
-
-def is_tau_stable(assembly: Mapping[Point, TileType], tau: int) -> bool:
-    """Whether every cut of the bond graph weighs at least tau.
-
-    Singletons are stable by convention; anything with a bond-disconnected
-    domain admits a weight-zero cut and is not.  An edge of weight tau or
-    more crosses no lighter cut, so every such edge is contracted as soon
-    as it appears, which leaves tau=1 to connectivity alone.  Stoer-Wagner
-    minimum-cut phases (Stoer and Wagner, JACM 44(4), 1997) decide the
-    rest: the first phase also checks connectivity, and the loop stops at
-    the first phase whose cut is lighter than tau.
-    """
-    index = {p: i for i, p in enumerate(assembly)}
-    adj: dict[int, dict[int, int]] = {i: {} for i in index.values()}
-    for p, i in index.items():
-        sides = _sides(assembly[p])
-        for side, q in enumerate(neighbors(p)[:2]):  # north, east
-            j = index.get(q)
-            if j is not None:
-                w = glues_bind(sides[side], _sides(assembly[q])[side ^ 2])
-                if w:
-                    adj[i][j] = adj[j][i] = w
-    strong = [(i, j) for i in adj for j, w in adj[i].items() if w >= tau]
-
-    def merge(s: int, t: int) -> None:
-        """Contract whichever of s and t has fewer neighbours into the
-        other, queueing every edge the contraction brings up to tau."""
-        if len(adj[s]) < len(adj[t]):
-            s, t = t, s
-        for b, w in adj.pop(t).items():
-            del adj[b][t]
-            if b != s:
-                adj[s][b] = adj[b][s] = w = adj[s].get(b, 0) + w
-                if w >= tau:
-                    strong.append((s, b))
-
-    while True:
-        while strong:
-            s, t = strong.pop()
-            if t in adj.get(s, ()):
-                merge(s, t)
-        if len(adj) <= 1:
-            return True
-        cut, order = _min_cut_phase(adj)
-        # a search that stops short has found a bond-disconnected part
-        if len(order) < len(adj) or cut < tau:
-            return False
-        merge(*order[-2:])
-
-
-def _min_cut_phase(adj: dict[int, dict[int, int]]) -> tuple[int, list[int]]:
-    """One Stoer-Wagner phase: visit the vertices from an arbitrary start,
-    each time taking the one most tightly bonded to those visited.  Returns
-    the last vertex's total weight to the others, which is a cut, and the
-    visit order, which stops short when the graph is disconnected."""
-    unvisited = dict.fromkeys(adj, 0)
-    heap = [(0, next(iter(adj)))]
-    order: list[int] = []
-    cut = 0
-    while heap:
-        negative, v = heappop(heap)
-        if v not in unvisited:
-            continue
-        del unvisited[v]
-        order.append(v)
-        cut = -negative
-        for b, w in adj[v].items():
-            if b in unvisited:
-                unvisited[b] += w
-                heappush(heap, (-unvisited[b], b))
-    return cut, order
-
-
 def attachment_strength(assembly: Mapping[Point, TileType], p: Point, tile: TileType) -> int:
     """Total strength of the bonds a tile would form if placed at p."""
     total = 0
@@ -372,10 +285,17 @@ class SeededUniformPolicy:
     """Uniform choice over frontier sites from a seeded PRNG."""
 
     def __init__(self, seed: int = 0):
-        self._rng = random.Random(seed)
+        self._bits = random.Random(seed).getrandbits
 
     def choose(self, sites: Sequence[tuple[Point, TileType]]) -> tuple[Point, TileType]:
-        return sites[self._rng.randrange(len(sites))]
+        # the draw randrange(n) makes, without its two Python frames
+        n = len(sites)
+        if not n:
+            raise ValueError("empty range for randrange()")
+        k, r = n.bit_length(), n
+        while r >= n:
+            r = self._bits(k)
+        return sites[r]
 
 
 # ---------------------------------------------------------------------------
@@ -394,11 +314,11 @@ class _Frontier:
     empty neighbours.  Glues are positive, so totals only grow, and a site
     is re-derived only when some total crosses the temperature.  ``_lists``
     holds each site's list and its keys, chosen when it first becomes a
-    site.  ``_binders`` lists, for each tile name, the sides whose positive
-    glue some tile type binds, with the glue's strength and the binding
-    types' names; it is read off an index keyed by (side, glue label, glue
-    strength).  Names and plain tuples are the keys because they hash
-    faster than ``TileType`` and ``Glue``."""
+    site.  ``_binders`` lists, for each tile name, the offsets of the sides
+    whose positive glue some tile type binds, with the glue's strength and
+    the binding types' names; it is read off an index keyed by (side, glue
+    label, glue strength).  Names and plain tuples are the keys because they
+    hash faster than ``TileType`` and ``Glue``."""
 
     def __init__(
         self, system: TileSystem, tiles: dict[Point, TileType], region: Optional[Container[Point]]
@@ -421,9 +341,10 @@ class _Frontier:
             for side, glue in enumerate(_sides(t)):
                 if glue.strength > 0:
                     index.setdefault((side ^ 2, glue.label, glue.strength), []).append(t.name)
+        offsets = neighbors((0, 0))
         self._binders = {
             t.name: tuple(
-                (side, glue.strength, index[side, glue.label, glue.strength])
+                (*offsets[side], glue.strength, index[side, glue.label, glue.strength])
                 for side, glue in enumerate(_sides(t))
                 if (side, glue.label, glue.strength) in index
             )
@@ -436,9 +357,9 @@ class _Frontier:
         """Add the placed tile's outward glues to its empty neighbours'
         totals, and re-derive each neighbour where one crosses tau."""
         tiles, all_totals, tau = self.tiles, self._totals, self.temperature
-        around = neighbors(p)
-        for side, strength, names in self._binders[tile.name]:
-            q = around[side]
+        x, y = p
+        for dx, dy, strength, names in self._binders[tile.name]:
+            q = (x + dx, y + dy)
             if q in tiles:
                 continue
             totals = all_totals.get(q)
@@ -489,18 +410,30 @@ def _grow(
         policy = LexicographicPolicy()
     state = _Frontier(system, tiles, region)
     events, sites, inside = state.events, state.sites, state.inside
+    totals, lists, offer = state._totals, state._lists, state._offer
+    choose, record, new = policy.choose, events.append, tuple.__new__
     yield state
     while inside and len(events) < max_steps:
-        p, tile = policy.choose(inside)
+        p, tile = choose(inside)
         tiles[p] = tile
-        events.append(SequenceEvent(len(events) + 1, p, tile))
-        del state._totals[p]
-        pairs, keys = state._lists.pop(p)
+        # tuple.__new__ skips the named tuple's Python-level __new__
+        record(new(SequenceEvent, (len(events) + 1, p, tile)))
+        del totals[p]
+        pairs, keys = lists.pop(p)
         at = bisect_left(keys, (p[1], p[0]))
         end = at + len(sites.pop(p))
         del pairs[at:end], keys[at:end]
-        state._offer(p, tile)
+        offer(p, tile)
         yield state
+
+
+def _sites(system: TileSystem, assembly: Mapping[Point, TileType], region) -> tuple[tuple, tuple]:
+    """Sites in and beyond the region: the run's own if this is its result, system and region."""
+    kept = getattr(assembly, "_frontier", None)
+    if kept is not None and kept[0] is system and kept[1] is region:
+        return kept[2], kept[3]
+    state = _Frontier(system, dict(assembly), region)
+    return tuple(state.inside), tuple(state.outside)
 
 
 def frontier(
@@ -513,8 +446,9 @@ def frontier(
     Since one new tile's bonds must alone reach the temperature, adding any
     frontier pair to a stable assembly keeps it stable.  Sites are sorted
     by row, column, then tile name, the order the growth engine keeps.
+    On a run's own result, with its system and region, the run answers.
     """
-    return tuple(_Frontier(system, dict(assembly), region).inside)
+    return _sites(system, assembly, region)[0]
 
 
 def clipped_frontier(
@@ -526,9 +460,9 @@ def clipped_frontier(
 
     A bounded run stops at the region's edge; this reports what it was
     forced to leave out, so boundary clipping is visible instead of
-    silent.
+    silent.  On a run's own result, with its system and region, the run answers.
     """
-    return tuple(_Frontier(system, dict(assembly), region).outside)
+    return _sites(system, assembly, region)[1]
 
 
 def run(
@@ -544,11 +478,15 @@ def run(
     column and tile name as tiles attach, so runs are reproducible:
     the same system, region, policy, and budget give identical sequences.
     Use :func:`clipped_frontier` on the result to see what the region
-    boundary cut off.
+    boundary cut off; on the result, with this system and a region that is
+    None or a ``Box``, that and :func:`frontier` cost nothing.
     """
     for state in _grow(system, region, policy, max_steps):
         pass
-    return AssemblySequence(system, tuple(state.events), Assembly._grown(state.tiles))
+    final = None
+    if region is None or isinstance(region, Box):
+        final = (system, region, tuple(state.inside), tuple(state.outside))
+    return AssemblySequence(system, tuple(state.events), Assembly._grown(state.tiles, final))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import random
 import re
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -85,6 +86,10 @@ def oracle_frontier(system, placed, region=None):
                 sites.append((p, t))
     sites.sort(key=lambda s: (s[0][1], s[0][0], s[1].name))
     return tuple(sites)
+
+
+def oracle_clipped(system, placed, region):
+    return tuple(s for s in oracle_frontier(system, placed) if s[0] not in region)
 
 
 def reference_growth(system, region, policy, max_steps, target=None):
@@ -543,8 +548,9 @@ class TestGrowthAgainstOracleLoop:
         assert seq.events == tuple(events)
         assert dict(seq.result) == placed
         if region is not None:
-            clipped = tuple(s for s in oracle_frontier(system, placed) if s[0] not in region)
-            assert clipped_frontier(system, seq.result, region) == clipped
+            assert clipped_frontier(system, seq.result, region) == oracle_clipped(
+                system, placed, region
+            )
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -730,6 +736,123 @@ def test_row_major_matches_a_keyed_sort(points):
     placements = {p: i for i, p in enumerate(points)}
     expected = dict(sorted(placements.items(), key=lambda kv: (kv[0][1], kv[0][0])))
     assert list(_row_major(placements).items()) == list(expected.items())
+
+
+@pytest.fixture
+def frontiers_built(monkeypatch):
+    """Counts the growth engines built from here on."""
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return _Frontier(*args)
+
+    monkeypatch.setattr("fractile.tiles._Frontier", counting)
+    return built
+
+
+class TestFrontierOfARun:
+    """A run's result answers frontier queries with the run's own final
+    frontier, but only for the very system and region object it ran with."""
+
+    @pytest.mark.parametrize(
+        "case, region, policy, max_steps, stop",
+        [
+            ("ribbon", None, None, 5, "step limit"),
+            ("ribbon", Box(0, 0, 0, 3), None, 100, "region boundary"),
+            ("ribbon", Box(0, -2, 0, 3), SeededUniformPolicy(3), 2, "step limit"),
+            ("filler", Box(0, 0, 3, 2), SeededUniformPolicy(1), 100, "region boundary"),
+            ("filler", None, SeededUniformPolicy(2), 6, "step limit"),
+            ("filler", Box(0, 0, 3, 3), None, 4, "step limit"),
+            ("cooperation", None, None, 100, "terminal"),
+            ("cooperation", Box(0, 0, 1, 1), None, 100, "terminal"),
+        ],
+    )
+    def test_kept_sites_equal_a_rebuild(
+        self, request, frontiers_built, case, region, policy, max_steps, stop
+    ):
+        system = {
+            "ribbon": lambda: request.getfixturevalue("ribbon_system"),
+            "filler": lambda: parse_tile_system(FILL_T2),
+            "cooperation": lambda: request.getfixturevalue("cooperation_system"),
+        }[case]()
+        seq = run(system, region, policy, max_steps)
+        built = len(frontiers_built)
+        inside = frontier(system, seq.result, region)
+        clipped = clipped_frontier(system, seq.result, region)
+        assert len(frontiers_built) == built
+        placed = dict(seq.result)
+        assert inside == frontier(system, placed, region)
+        assert clipped == clipped_frontier(system, placed, region)
+        assert len(frontiers_built) == built + 2
+        if stop == "step limit":
+            assert len(seq.events) == max_steps and inside
+        else:
+            assert len(seq.events) < max_steps and not inside
+            assert bool(clipped) == (stop == "region boundary")
+
+    def test_other_queries_rebuild(self, frontiers_built):
+        system = parse_tile_system(FILL_T2)
+        region = Box(0, 0, 2, 2)
+        seq = run(system, region, SeededUniformPolicy(5), 3)
+        placed = dict(seq.result)
+        queries = [
+            (Box(*region), region),
+            (Box(0, 0, 1, 2), Box(0, 0, 1, 2)),
+            (Box(0, 0, 3, 3), Box(0, 0, 3, 3)),
+        ]
+        for asked, expected in queries:
+            assert asked is not region
+            before = len(frontiers_built)
+            assert frontier(system, seq.result, asked) == oracle_frontier(system, placed, expected)
+            assert clipped_frontier(system, seq.result, asked) == oracle_clipped(
+                system, placed, expected
+            )
+            assert len(frontiers_built) == before + 2
+        before = len(frontiers_built)
+        assert frontier(system, seq.result) == oracle_frontier(system, placed)
+        twin = TileSystem(system.tiles, system.seed, system.temperature)
+        assert frontier(twin, seq.result, region) == oracle_frontier(system, placed, region)
+        assert len(frontiers_built) == before + 2
+
+    def test_only_a_run_keeps_its_frontier(self, ribbon_system, ribbon_region):
+        seq = run(ribbon_system, ribbon_region)
+        assert seq.result._frontier is not None
+        assert seq.result.translate((0, 0))._frontier is None
+        assert Assembly(dict(seq.result))._frontier is None
+        assert Assembly(seq.result)._frontier is None
+        assert replay(ribbon_system, seq.events)._frontier is None
+
+    def test_a_mutable_region_is_not_trusted(self, ribbon_system):
+        region = {(0, 0), (0, 1)}
+        seq = run(ribbon_system, region)
+        assert seq.result._frontier is None
+        region.add((0, 2))
+        col = ribbon_system.tiles[0]
+        assert frontier(ribbon_system, seq.result, region) == (((0, 2), col),)
+        assert clipped_frontier(ribbon_system, seq.result, region) == (((0, -1), col),)
+
+
+class TestSeededUniformPolicy:
+    def test_empty_frontier_raises(self):
+        # a bare rejection loop never ends on n = 0, since getrandbits(0) is 0
+        def give_up(signum, frame):
+            raise TimeoutError("choose([]) did not return")
+
+        previous = signal.signal(signal.SIGALRM, give_up)
+        signal.setitimer(signal.ITIMER_REAL, 2)
+        try:
+            with pytest.raises(ValueError, match="empty range"):
+                SeededUniformPolicy(0).choose([])
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+    def test_draws_equal_randrange(self, seed):
+        policy, rng = SeededUniformPolicy(seed), random.Random(seed)
+        for n in range(1, 2050):
+            assert policy.choose(range(n)) == rng.randrange(n)
 
 
 class TestRunAndReplay:
