@@ -17,8 +17,8 @@ _EXPORTS = {
         is_tree_fractal_generator parse_generator piers random_valid_generator
         scale select_pier_anchor stage stage_property""",
     "grid": "DIRECTIONS Direction is_connected neighbors translate",
-    "movies": """BondFormingSubmovie GlueEvent SpliceError WindowMovie bond_forming
-        format_movie record_movie splice""",
+    "movies": """GlueEvent SpliceError WindowMovie bond_forming format_movie
+        record_movie splice""",
     "refuter": """NoMatchReport RefutationConfig SpliceCertificate SubmovieGroup
         format_certificate format_no_match glue_line_bound refute""",
     "render": "check_cell_budget format_grid render_svg",

@@ -544,10 +544,8 @@ def select_pier_anchor(gen: Generator, pier: Optional[Point] = None) -> PierAnch
         anchor = _apply_point(_invert(t), gen.g, anchor2)
 
     glue_side = chosen.pointing.inverse()
-    if glue_side in (Direction.E, Direction.W):
-        offset = next(b.index for b in bridges(gen.cells) if b.kind == "horizontal")
-    else:
-        offset = next(b.index for b in bridges(gen.cells) if b.kind == "vertical")
+    kind = "horizontal" if glue_side in (Direction.E, Direction.W) else "vertical"
+    offset = next(index for k, index, _ in _bridge_ends(gen.cells) if k == kind)
     result = PierAnchor(chosen.position, chosen.pointing, anchor, glue_side, offset)
     _check_anchor_window(gen, result)
     return result

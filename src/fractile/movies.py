@@ -1,12 +1,13 @@
 """Window movies: what an assembly sequence shows along a window's cut.
 
 A movie records, in placement order, every positive-strength glue a tile
-presents across the window boundary.  The bond-forming submovie keeps
-only the glues that end up in actual bonds.  When one sequence shows the
-same bond-forming submovie along two windows, one a translate of the
-other's surroundings, the window interiors are interchangeable: `splice`
-rebuilds the sequence with the smaller window's interior transplanted
-into the larger window, and the result still assembles.
+presents across the window boundary.  The bond-forming submovie, a
+``WindowMovie`` too, keeps only the glues that end up in actual bonds.
+When one sequence shows the same bond-forming submovie along two
+windows, one a translate of the other's surroundings, the window
+interiors are interchangeable: `splice` rebuilds the sequence with the
+smaller window's interior transplanted into the larger window, and the
+result still assembles.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import NamedTuple
 
-from .grid import DIRECTIONS, Direction, Point, PointSet, translate
+from .grid import Direction, Point, PointSet, translate
 from .tiles import (
     Assembly,
     AssemblySequence,
@@ -38,19 +39,14 @@ class GlueEvent(NamedTuple):
 
 
 class WindowMovie(NamedTuple):
-    """Every glue event a sequence presents along one window, in order."""
-
-    events: tuple[GlueEvent, ...]
-
-
-class BondFormingSubmovie(NamedTuple):
-    """The events of a movie whose glues carry bonds in the final result."""
+    """Glue events a sequence presents along one window, in order: every
+    event of a recorded movie, or those of its bond-forming submovie."""
 
     events: tuple[GlueEvent, ...]
 
     def canonical(self) -> tuple:
-        """Translation- and step-invariant key: two submovies are
-        translates of each other iff their keys are equal."""
+        """Translation- and step-invariant key: two movies are translates
+        of each other iff their keys are equal."""
         if not self.events:
             return ()
         bx, by = self.events[0].vertex
@@ -60,13 +56,16 @@ class BondFormingSubmovie(NamedTuple):
         )
 
 
+# the orientations by unit vector
+_CUT_ORDER = (Direction.W, Direction.S, Direction.N, Direction.E)
+
+
 def _cut_events(inside: frozenset, step: int, pos: Point, tile: TileType) -> list[GlueEvent]:
     events = []
-    for d in DIRECTIONS:
+    for d in _CUT_ORDER:
         q = d(pos)
         if ((pos in inside) != (q in inside)) and tile.glue(d).strength > 0:
             events.append(GlueEvent(step, pos, d, tile.glue(d)))
-    events.sort(key=lambda e: e.orientation.unit)
     return events
 
 
@@ -77,7 +76,7 @@ def record_movie(seq: AssemblySequence, inside: PointSet) -> WindowMovie:
     Tiles already present at the start contribute events at step 0,
     ordered by cell (row-major) — their glues face the cut from the
     beginning.  A placement that crosses the cut on several sides emits
-    one event per side, ordered by orientation.
+    one event per side, in W, S, N, E order.
     """
     inside = frozenset(inside)
     events: list[GlueEvent] = []
@@ -89,7 +88,7 @@ def record_movie(seq: AssemblySequence, inside: PointSet) -> WindowMovie:
     return WindowMovie(tuple(events))
 
 
-def bond_forming(movie: WindowMovie, result: Assembly) -> BondFormingSubmovie:
+def bond_forming(movie: WindowMovie, result: Assembly) -> WindowMovie:
     """Filter a movie down to the events whose glues actually bond in
     ``result``.  Bonding is temperature-independent: any positive matched
     strength is a bond.
@@ -102,10 +101,10 @@ def bond_forming(movie: WindowMovie, result: Assembly) -> BondFormingSubmovie:
         facing = result[q].glue(e.orientation.inverse())
         if glues_bind(result[e.vertex].glue(e.orientation), facing) > 0:
             kept.append(e)
-    return BondFormingSubmovie(tuple(kept))
+    return WindowMovie(tuple(kept))
 
 
-def submovie_matches(a: BondFormingSubmovie, b: BondFormingSubmovie, vec: Point) -> bool:
+def submovie_matches(a: WindowMovie, b: WindowMovie, vec: Point) -> bool:
     """Whether shifting every event of ``a`` by ``vec`` reproduces ``b``:
     same vertices, orientations, and glues, in the same order.  Absolute
     step numbers are ignored; only the order carries information."""

@@ -65,70 +65,36 @@ def render_svg(
     squares of class "window"; each glue edge becomes a thin strip of
     class "glue" across the shared cell boundary.
     """
-    from xml.etree import ElementTree  # only SVG output needs it
-
     size = side * unit
-    root = ElementTree.Element(
-        "svg",
-        xmlns="http://www.w3.org/2000/svg",
-        width=str(size),
-        height=str(size),
-        viewBox=f"0 0 {size} {size}",
-    )
-
-    def rect(x: float, y: float, w: float, h: float, **attrs: str) -> None:
-        ElementTree.SubElement(
-            root,
-            "rect",
-            x=f"{x:g}",
-            y=f"{y:g}",
-            width=f"{w:g}",
-            height=f"{h:g}",
-            **attrs,
-        )
-
-    for (x, y) in sorted(points, key=lambda v: (v[1], v[0])):
-        rect(
-            x * unit,
-            (side - 1 - y) * unit,
-            unit,
-            unit,
-            **{"class": "cell", "fill": _SHAPE_FILL},
-        )
+    cell = f'class="cell" fill="{_SHAPE_FILL}"'
+    outline = f'class="window" fill="none" stroke="{_WINDOW_STROKE}" stroke-width="{unit / 5:g}"'
+    glue = f'class="glue" fill="{_GLUE_FILL}"'
+    # (x, y, width, height, attributes) of each rect, in drawing order
+    rects = [
+        (x * unit, (side - 1 - y) * unit, unit, unit, cell)
+        for (x, y) in sorted(points, key=lambda v: (v[1], v[0]))
+    ]
     for window in windows:
         xs = [x for x, _ in window]
         ys = [y for _, y in window]
         w = max(xs) - min(xs) + 1
-        rect(
-            min(xs) * unit,
-            (side - min(ys) - w) * unit,
-            w * unit,
-            w * unit,
-            **{
-                "class": "window",
-                "fill": "none",
-                "stroke": _WINDOW_STROKE,
-                "stroke-width": f"{unit / 5:g}",
-            },
-        )
+        rects.append((min(xs) * unit, (side - min(ys) - w) * unit, w * unit, w * unit, outline))
     thick = unit / 4
     for (a, b) in glue_edges:
         if b[0] - a[0]:  # vertical strip on the shared east/west edge
             edge_x = max(a[0], b[0]) * unit
-            rect(
-                edge_x - thick / 2,
-                (side - 1 - a[1]) * unit,
-                thick,
-                unit,
-                **{"class": "glue", "fill": _GLUE_FILL},
-            )
+            rects.append((edge_x - thick / 2, (side - 1 - a[1]) * unit, thick, unit, glue))
         else:  # horizontal strip on the shared north/south edge
             edge_y = (side - max(a[1], b[1])) * unit
-            rect(
-                a[0] * unit,
-                edge_y - thick / 2,
-                unit,
-                thick,
-                **{"class": "glue", "fill": _GLUE_FILL},
-            )
-    return ElementTree.tostring(root, encoding="unicode") + "\n"
+            rects.append((a[0] * unit, edge_y - thick / 2, unit, thick, glue))
+    head = (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}"'
+        f' viewBox="0 0 {size} {size}"'
+    )
+    if not rects:
+        return head + " />\n"
+    body = "".join(
+        f'<rect x="{x:g}" y="{y:g}" width="{w:g}" height="{h:g}" {attrs} />'
+        for x, y, w, h, attrs in rects
+    )
+    return f"{head}>{body}</svg>\n"

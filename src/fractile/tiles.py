@@ -304,19 +304,19 @@ class SeededUniformPolicy:
 
 class _Frontier:
     """Attachment sites, kept current as tiles are placed: ``sites`` maps
-    each to its tile types in name order, and ``inside`` and ``outside``
-    list them as (position, tile) pairs sorted by row, column, tile name,
-    within the region and beyond it.
+    each to its tile types in name order, and ``inside`` lists those in
+    the region as (position, tile) pairs sorted by row, column, tile name.
+    Nothing is placed beyond the region, so ``outside`` sorts those pairs
+    only when asked.
 
     ``_totals`` maps every empty site next to a placed tile to the
     strength each tile type would bond with there, summed over the placed
     neighbours.  Placing a tile adds its outward glues to the totals of its
     empty neighbours.  Glues are positive, so totals only grow, and a site
-    is re-derived only when some total crosses the temperature.  ``_lists``
-    holds each site's list and its keys, chosen when it first becomes a
-    site.  ``_binders`` lists, for each tile name, the offsets of the sides
-    whose positive glue some tile type binds, with the glue's strength and
-    the binding types' names; it is read off an index keyed by (side, glue
+    is re-derived only when some total crosses the temperature.
+    ``_binders`` lists, for each tile name, the offsets of the sides whose
+    positive glue some tile type binds, with the glue's strength and the
+    binding types' names; it is read off an index keyed by (side, glue
     label, glue strength).  Names and plain tuples are the keys because they
     hash faster than ``TileType`` and ``Glue``."""
 
@@ -329,11 +329,8 @@ class _Frontier:
         self.events: list[SequenceEvent] = []
         self.sites: dict[Point, tuple[TileType, ...]] = {}
         self.inside: list[tuple[Point, TileType]] = []
-        self.outside: list[tuple[Point, TileType]] = []
-        # (y, x) of each pair above, for bisection
-        self._inside_keys: list[tuple[int, int]] = []
-        self._outside_keys: list[tuple[int, int]] = []
-        self._lists: dict[Point, tuple[list, list]] = {}
+        # (y, x) of each pair in inside, for bisection
+        self._keys: list[tuple[int, int]] = []
         self._totals: dict[Point, dict[str, int]] = {}
         self._by_name = {t.name: t for t in system.tiles}
         index: dict[tuple[int, str, int], list[str]] = {}
@@ -375,26 +372,32 @@ class _Frontier:
                 continue
             old = self.sites.get(q, ())
             if old:
-                pairs, keys = self._lists[q]
                 crossed += [t.name for t in old]
-            elif self.region is None or q in self.region:
-                pairs, keys = self._lists[q] = (self.inside, self._inside_keys)
-            else:
-                pairs, keys = self._lists[q] = (self.outside, self._outside_keys)
-            # q's pairs share (y, x), so they form one run in their sorted list
-            key = (q[1], q[0])
+            if self.region is not None and q not in self.region:
+                crossed.sort()
+                self.sites[q] = tuple(self._by_name[name] for name in crossed)
+                continue
+            # q's pairs share (y, x), so they form one run in inside
+            inside, keys, key = self.inside, self._keys, (q[1], q[0])
             at = bisect_left(keys, key)
             if len(crossed) == 1:
                 # the usual case: q becomes a site with one tile type
                 t = self._by_name[crossed[0]]
                 self.sites[q] = (t,)
-                pairs.insert(at, (q, t))
+                inside.insert(at, (q, t))
                 keys.insert(at, key)
             else:
                 crossed.sort()
                 attachable = self.sites[q] = tuple(self._by_name[name] for name in crossed)
-                pairs[at : at + len(old)] = [(q, t) for t in attachable]
+                inside[at : at + len(old)] = [(q, t) for t in attachable]
                 keys[at : at + len(old)] = [key] * len(attachable)
+
+    @property
+    def outside(self) -> list[tuple[Point, TileType]]:
+        if self.region is None:
+            return []
+        beyond = sorted((y, x) for x, y in self.sites if (x, y) not in self.region)
+        return [((x, y), t) for y, x in beyond for t in self.sites[x, y]]
 
 
 def _grow(
@@ -409,8 +412,8 @@ def _grow(
     if policy is None:
         policy = LexicographicPolicy()
     state = _Frontier(system, tiles, region)
-    events, sites, inside = state.events, state.sites, state.inside
-    totals, lists, offer = state._totals, state._lists, state._offer
+    events, sites, inside, keys = state.events, state.sites, state.inside, state._keys
+    totals, offer = state._totals, state._offer
     choose, record, new = policy.choose, events.append, tuple.__new__
     yield state
     while inside and len(events) < max_steps:
@@ -419,10 +422,9 @@ def _grow(
         # tuple.__new__ skips the named tuple's Python-level __new__
         record(new(SequenceEvent, (len(events) + 1, p, tile)))
         del totals[p]
-        pairs, keys = lists.pop(p)
         at = bisect_left(keys, (p[1], p[0]))
         end = at + len(sites.pop(p))
-        del pairs[at:end], keys[at:end]
+        del inside[at:end], keys[at:end]
         offer(p, tile)
         yield state
 
@@ -537,8 +539,8 @@ def check_strict_self_assembly(
     covered = f"covered {len(target_set & state.tiles.keys())}/{len(target_set)} target cells"
     if state.inside:
         detail = f"step limit reached; {covered}"
-    elif state.outside:
-        detail = f"region boundary reached; {len(state.outside)} sites clipped; {covered}"
+    elif clipped := len(state.outside):
+        detail = f"region boundary reached; {clipped} sites clipped; {covered}"
     else:
         detail = f"terminal; {covered}"
         missing = target_set - state.tiles.keys()

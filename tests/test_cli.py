@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface and its exit codes."""
 
+import hashlib
 import xml.etree.ElementTree as ElementTree
 
 import pytest
@@ -357,6 +358,26 @@ class TestRender:
         assert code == 0
         counts = svg_class_counts(capsys.readouterr().out)
         assert counts == {"cell": 16}
+
+    @pytest.mark.parametrize(
+        "argv, sha256",
+        [
+            (
+                ["render", "sierpinski.gen", "--stage", "3"],
+                "60069901c6c1e562a203c5c3162ba902a490aa7106622b8da00346358337f751",
+            ),
+            (
+                ["stages", "sierpinski.gen", "--stage", "2", "--scale", "2", "--format", "svg"],
+                "96b374591cd72f2c675aa60fe0d6ed169c9f81ccf2950fc96773c2d12c93c51e",
+            ),
+        ],
+        ids=["render", "stages"],
+    )
+    def test_svg_bytes_pinned(self, files, capsys, argv, sha256):
+        # class counts leave rect geometry and attribute text unpinned
+        argv = [argv[0], str(files / argv[1]), *argv[2:]]
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 
 
 class TestParser:

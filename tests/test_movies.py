@@ -4,7 +4,6 @@ import pytest
 
 from fractile import (
     Assembly,
-    BondFormingSubmovie,
     Box,
     ClosedWindow,
     Direction,
@@ -43,7 +42,7 @@ def submovie_at(seq, cells):
 
 def shifted(sub, vec):
     """``sub`` with every vertex moved by ``vec``, steps kept."""
-    return BondFormingSubmovie(
+    return WindowMovie(
         tuple(
             GlueEvent(e.step, (e.vertex[0] + vec[0], e.vertex[1] + vec[1]), e.orientation, e.glue)
             for e in sub.events
@@ -184,10 +183,10 @@ class TestMatching:
         last = events[-1]
         events[-1] = GlueEvent(last.step, last.vertex, last.orientation, Glue("m", 1))
         assert submovie_matches(a, shifted(a, (0, 1)), (0, 1))
-        assert not submovie_matches(a, BondFormingSubmovie(tuple(events)), (0, 1))
+        assert not submovie_matches(a, WindowMovie(tuple(events)), (0, 1))
 
     def test_empty_movies_match_under_any_shift(self, ribbon_run):
-        empty = BondFormingSubmovie(())
+        empty = WindowMovie(())
         for vec in ((0, 0), (1, 0), (-3, 7)):
             assert submovie_matches(empty, empty, vec)
         a = submovie_at(ribbon_run, {(0, 1)})
@@ -196,14 +195,14 @@ class TestMatching:
 
     def test_steps_are_ignored_order_is_not(self, ribbon_run):
         a = submovie_at(ribbon_run, {(0, 1)})
-        renumbered = BondFormingSubmovie(
+        renumbered = WindowMovie(
             tuple(
                 GlueEvent(100 + i, e.vertex, e.orientation, e.glue)
                 for i, e in enumerate(shifted(a, (0, 1)).events)
             )
         )
         assert submovie_matches(a, renumbered, (0, 1))
-        reordered = BondFormingSubmovie(renumbered.events[::-1])
+        reordered = WindowMovie(renumbered.events[::-1])
         assert not submovie_matches(a, reordered, (0, 1))
 
     def test_canonical_key_identifies_translates(self, ribbon_run):

@@ -29,7 +29,6 @@ from fractile import (
     TileSystem,
     TileType,
     WindowSpec,
-    bond_forming,
     bridges,
     census,
     check_strict_self_assembly,
@@ -59,7 +58,6 @@ RECORD_NAMES = {
     "CensusStats",
     "GlueEvent",
     "WindowMovie",
-    "BondFormingSubmovie",
     "RefutationConfig",
     "SpliceCertificate",
     "SubmovieGroup",
@@ -96,7 +94,6 @@ def _samples():
         census(2),
         movie.events[0],
         movie,
-        bond_forming(movie, seq.result),
         cert.config,
         cert,
         report.groups[0],

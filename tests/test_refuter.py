@@ -15,6 +15,7 @@ from fractile import (
     PIER_LABELS_UNIFORM,
     RefutationConfig,
     SpliceCertificate,
+    TAXONOMY_DOUBLE,
     TileSystem,
     TileType,
     WindowSpec,
@@ -24,6 +25,7 @@ from fractile import (
     format_certificate,
     format_no_match,
     glue_line_bound,
+    piers,
     refute,
     replay,
     run,
@@ -139,20 +141,34 @@ class TestAlignmentOffset:
         with pytest.raises(ValueError, match="scale factor must be >= 1"):
             alignment_offset(sierpinski, 0, 2, 3, anchor)
 
-    def test_always_within_enclosure_margin(self, sierpinski, l_gen, hook4, real_pier_gen):
+    def test_always_within_enclosure_margin(self):
+        # refute relies on this and does not re-check it: for every
+        # non-double pier of every tree-fractal generator of side 2-4, at
+        # c in {1, 2, 3} and stage pairs up to 5, the full shift is nonzero
+        # and carries the stage-i window into the stage-j window
         anchors = [
-            (sierpinski, select_pier_anchor(sierpinski)),
-            (l_gen, select_pier_anchor(l_gen)),
-            (hook4, select_pier_anchor(hook4)),
-            (hook4, select_pier_anchor(hook4, pier=(3, 2))),
-            (real_pier_gen, select_pier_anchor(real_pier_gen)),
+            (gen, select_pier_anchor(gen, pier=pr.position))
+            for g in (2, 3, 4)
+            for gen in census(g, allow_large=True).tree_fractal_generators
+            for pr in piers(gen)
+            if pr.taxonomy != TAXONOMY_DOUBLE
         ]
+        # 6 + 12 + 740 non-double piers over the 3 + 5 + 219 generators
+        assert len(anchors) == 758
         for gen, anchor in anchors:
-            for c in (1, 2):
-                for i in (2, 3, 4):
-                    for j in range(i + 1, 6):
-                        x, y = alignment_offset(gen, c, i, j, anchor)
-                        assert enclosure_bound_ok(c, gen.g, i, j, x, y)
+            for c in (1, 2, 3):
+                for i, j in itertools.combinations(range(2, 6), 2):
+                    x, y = alignment_offset(gen, c, i, j, anchor)
+                    assert enclosure_bound_ok(c, gen.g, i, j, x, y)
+                    t = translation(c, gen.g, i, j, *anchor.anchor, *anchor.pier)
+                    dx, dy = t[0] + x, t[1] + y
+                    assert (dx, dy) != (0, 0), (gen, anchor, c, i, j)
+                    # window_inside is the square of spec.side at spec.corner
+                    w_i = WindowSpec(c, i, gen.g, anchor.anchor, anchor.pier)
+                    w_j = WindowSpec(c, j, gen.g, anchor.anchor, anchor.pier)
+                    x0, y0 = w_i.corner[0] + dx - w_j.corner[0], w_i.corner[1] + dy - w_j.corner[1]
+                    slack = w_j.side - w_i.side
+                    assert 0 <= x0 <= slack and 0 <= y0 <= slack, (gen, anchor, c, i, j)
 
     def test_shifts_glue_line_onto_glue_line(self, hook4):
         # for every tree-fractal generator of side 2-4, and for hook4's
