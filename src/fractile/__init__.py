@@ -29,7 +29,7 @@ _EXPORTS = {
         SequenceEvent StrictCheck TileSystem TileType VERDICT_INCOMPLETE_OK
         VERDICT_VIOLATION check_strict_self_assembly clipped_frontier
         format_tile_system frontier parse_tile_system replay run""",
-    "windows": """ClosedWindow WindowSpec boundary_contacts closed_window
+    "windows": """WindowSpec boundary_contacts closed_window
         enclosure_bound_ok enclosure_margin encloses free_sides translation
         window_inside""",
 }

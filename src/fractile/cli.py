@@ -12,24 +12,14 @@ import sys
 from importlib import import_module
 from typing import Optional, Sequence
 
-# The library names the commands use, by module.  Building the parser
-# needs none of them; main binds the modules of the chosen command once
-# the arguments parse, so a process compiles only what its command runs.
-# Each name also resolves on first access as an attribute of this module,
-# and a name rebound here before main runs is the one the command calls.
-_USES = {
-    "fractal": """Generator TAXONOMY_DOUBLE TAXONOMY_ORTHOGONAL TAXONOMY_PARALLEL
-        TAXONOMY_REAL bridges census is_tree_fractal_generator parse_generator
-        piers scale select_pier_anchor stage""".split(),
-    "movies": "bond_forming format_movie record_movie".split(),
-    "refuter": """NoMatchReport RefutationConfig format_certificate format_no_match
-        refute""".split(),
-    "render": "check_cell_budget format_grid render_svg".split(),
-    "tiles": """DEFAULT_MAX_STEPS Box LexicographicPolicy SeededUniformPolicy
-        clipped_frontier frontier parse_tile_system run""".split(),
-    "windows": "WindowSpec boundary_contacts window_inside".split(),
-}
+from . import _EXPORTS, _OWNER
 
+# The library modules each command runs.  Building the parser needs none
+# of them; main binds the public names of the chosen command's modules
+# once the arguments parse, so a process compiles only what its command
+# runs.  Each public name also resolves on first access as an attribute of
+# this module, and a name rebound here before main runs is the one the
+# command calls.
 _COMMAND_USES = {
     "analyze": ("fractal",),
     "census": ("fractal",),
@@ -44,16 +34,15 @@ _COMMAND_USES = {
 
 def _bind(module: str) -> None:
     found = vars(import_module(f".{module}", __package__))
-    for name in _USES[module]:
+    for name in _EXPORTS[module].split():
         globals().setdefault(name, found[name])
 
 
 def __getattr__(name: str):
-    for module, names in _USES.items():
-        if name in names:
-            _bind(module)
-            return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_OWNER[name])
+    return globals()[name]
 
 
 def _short(taxonomy: str) -> str:

@@ -90,15 +90,8 @@ def grid_edges(points: Iterable[Point]) -> list[tuple[Point, Point]]:
     return edges
 
 
-def is_connected(points: Iterable[Point]) -> bool:
-    """True when the full grid graph on ``points`` is connected.
-
-    The empty set counts as not connected.
-    """
-    pts = set(points)
-    if not pts:
-        return False
-    start = next(iter(pts))
+def _reach(start: Point, pts: set) -> set:
+    """The points of ``pts`` joined to ``start`` by grid edges within it."""
     seen = {start}
     queue = deque([start])
     while queue:
@@ -107,7 +100,16 @@ def is_connected(points: Iterable[Point]) -> bool:
             if q in pts and q not in seen:
                 seen.add(q)
                 queue.append(q)
-    return len(seen) == len(pts)
+    return seen
+
+
+def is_connected(points: Iterable[Point]) -> bool:
+    """True when the full grid graph on ``points`` is connected.
+
+    The empty set counts as not connected.
+    """
+    pts = set(points)
+    return bool(pts) and len(_reach(next(iter(pts)), pts)) == len(pts)
 
 
 def is_tree(points: Iterable[Point]) -> bool:
@@ -117,11 +119,7 @@ def is_tree(points: Iterable[Point]) -> bool:
     edges, which is what we count here.
     """
     pts = set(points)
-    if not pts:
-        return False
-    if not is_connected(pts):
-        return False
-    return len(grid_edges(pts)) == len(pts) - 1
+    return is_connected(pts) and len(grid_edges(pts)) == len(pts) - 1
 
 
 def free_directions(pts: set | frozenset, p: Point) -> tuple[Direction, ...]:
@@ -135,16 +133,8 @@ def connected_components(points: Iterable[Point]) -> list[PointSet]:
     comps = []
     remaining = set(pts)
     for start in sorted(pts, key=lambda p: (p[1], p[0])):
-        if start not in remaining:
-            continue
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            p = queue.popleft()
-            for q in neighbors(p):
-                if q in remaining and q not in seen:
-                    seen.add(q)
-                    queue.append(q)
-        remaining -= seen
-        comps.append(frozenset(seen))
+        if start in remaining:
+            comp = frozenset(_reach(start, pts))
+            remaining -= comp
+            comps.append(comp)
     return comps

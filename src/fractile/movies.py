@@ -108,15 +108,12 @@ def submovie_matches(a: WindowMovie, b: WindowMovie, vec: Point) -> bool:
     """Whether shifting every event of ``a`` by ``vec`` reproduces ``b``:
     same vertices, orientations, and glues, in the same order.  Absolute
     step numbers are ignored; only the order carries information."""
-    if len(a.events) != len(b.events):
+    if a.canonical() != b.canonical():
         return False
-    dx, dy = vec
-    return all(
-        (ea.vertex[0] + dx, ea.vertex[1] + dy) == eb.vertex
-        and ea.orientation is eb.orientation
-        and ea.glue == eb.glue
-        for ea, eb in zip(a.events, b.events)
-    )
+    if not a.events:  # empty matches empty
+        return True
+    (x, y), (dx, dy) = a.events[0].vertex, vec
+    return (x + dx, y + dy) == b.events[0].vertex
 
 
 def format_movie(movie) -> str:
@@ -219,11 +216,9 @@ def splice(
         if v not in inside_big:
             pull(outer, "outer", v)
         elif v not in placed:
-            if (v[0] - dx, v[1] - dy) not in inside_small:
-                raise SpliceError(
-                    "movie hypothesis failed: a matched event does not originate"
-                    " inside the shifted window"
-                )
+            # v is in w' and d(v) is not, d being the event's side.  Its
+            # match u = v - c is in w: were it outside, d(u) would be in w,
+            # so d(v) = d(u) + c would be in w + c, which lies in w'.
             pull(inner, "inner", v)
 
     for pos, tile in chain(inner, outer):

@@ -27,7 +27,6 @@ from .fractal import (
 )
 from .grid import Direction, Point
 from .movies import (
-    SpliceError,
     WindowMovie,
     bond_forming,
     format_movie,
@@ -193,7 +192,10 @@ def refute(cfg: RefutationConfig) -> Union[SpliceCertificate, NoMatchReport]:
                 continue
             base = translation(cfg.c, gen.g, i_stage, j_stage, *anchor.anchor, *anchor.pier)
             align = alignment_offset(gen, cfg.c, i_stage, j_stage, anchor)
-            # never zero, and keeps the stage-i window inside the stage-j one
+            # both parts are >= 0; the translation is zero only for an origin
+            # pier and anchor, whose glue side E or N makes the alignment
+            # nonzero; bridge_offset <= g - 1 keeps it within the margin; so
+            # the shift meets splice's translation and enclosure hypotheses
             c_vec = (base[0] + align[0], base[1] + align[1])
             if not submovie_matches(subs[i_stage], subs[j_stage], c_vec):
                 notes.append(f"{label}: submovies differ under shift {c_vec}")
@@ -206,11 +208,7 @@ def refute(cfg: RefutationConfig) -> Union[SpliceCertificate, NoMatchReport]:
             if shifted_i == interior_j:
                 notes.append(f"{label}: identical window interiors, transplant is vacuous")
                 continue
-            try:
-                spliced = splice(seq, insides[i_stage], insides[j_stage], c_vec)
-            except SpliceError as exc:
-                notes.append(f"{label}: splice rejected ({exc})")
-                continue
+            spliced = splice(seq, insides[i_stage], insides[j_stage], c_vec)
             diff = tuple(
                 sorted(spliced.result.domain ^ target, key=lambda v: (v[1], v[0]))
             )

@@ -16,9 +16,11 @@ from .grid import Point
 CELL_CAP_ENV = "FRACTILE_CELL_CAP"
 DEFAULT_CELL_CAP = 262_144  # 512x512
 
-_SHAPE_FILL = "#5b8bb0"
-_WINDOW_STROKE = "#c2471d"
-_GLUE_FILL = "#2c8a4b"
+_UNIT = 10  # SVG user units per cell
+# the attributes of each role's rects
+_CELL = 'class="cell" fill="#5b8bb0"'
+_WINDOW = f'class="window" fill="none" stroke="#c2471d" stroke-width="{_UNIT / 5:g}"'
+_GLUE = 'class="glue" fill="#2c8a4b"'
 
 
 def cell_cap() -> int:
@@ -57,7 +59,6 @@ def render_svg(
     side: int,
     windows: Sequence[frozenset] = (),
     glue_edges: Sequence[tuple[Point, Point]] = (),
-    unit: int = 10,
 ) -> str:
     """An SVG of the shape with optional window outlines and glue markers.
 
@@ -65,28 +66,25 @@ def render_svg(
     squares of class "window"; each glue edge becomes a thin strip of
     class "glue" across the shared cell boundary.
     """
-    size = side * unit
-    cell = f'class="cell" fill="{_SHAPE_FILL}"'
-    outline = f'class="window" fill="none" stroke="{_WINDOW_STROKE}" stroke-width="{unit / 5:g}"'
-    glue = f'class="glue" fill="{_GLUE_FILL}"'
+    size = side * _UNIT
     # (x, y, width, height, attributes) of each rect, in drawing order
     rects = [
-        (x * unit, (side - 1 - y) * unit, unit, unit, cell)
+        (x * _UNIT, (side - 1 - y) * _UNIT, _UNIT, _UNIT, _CELL)
         for (x, y) in sorted(points, key=lambda v: (v[1], v[0]))
     ]
     for window in windows:
         xs = [x for x, _ in window]
         ys = [y for _, y in window]
-        w = max(xs) - min(xs) + 1
-        rects.append((min(xs) * unit, (side - min(ys) - w) * unit, w * unit, w * unit, outline))
-    thick = unit / 4
+        w = (max(xs) - min(xs) + 1) * _UNIT
+        rects.append((min(xs) * _UNIT, (side - min(ys)) * _UNIT - w, w, w, _WINDOW))
+    thick = _UNIT / 4
     for (a, b) in glue_edges:
         if b[0] - a[0]:  # vertical strip on the shared east/west edge
-            edge_x = max(a[0], b[0]) * unit
-            rects.append((edge_x - thick / 2, (side - 1 - a[1]) * unit, thick, unit, glue))
+            edge_x = max(a[0], b[0]) * _UNIT
+            rects.append((edge_x - thick / 2, (side - 1 - a[1]) * _UNIT, thick, _UNIT, _GLUE))
         else:  # horizontal strip on the shared north/south edge
-            edge_y = (side - max(a[1], b[1])) * unit
-            rects.append((a[0] * unit, edge_y - thick / 2, unit, thick, glue))
+            edge_y = (side - max(a[1], b[1])) * _UNIT
+            rects.append((a[0] * _UNIT, edge_y - thick / 2, _UNIT, thick, _GLUE))
     head = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}"'
         f' viewBox="0 0 {size} {size}"'

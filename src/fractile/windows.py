@@ -6,34 +6,18 @@ different stages around the same pier/anchor pair are similar, and the
 vector between their corners is what the splicing machinery shifts
 assemblies by.
 
-A window is its inside point set.  The cut separating a finite inside
-from the infinite outside is the set of edges leaving those points;
-nothing builds that edge set, and every function here and in
-:mod:`fractile.movies` takes the points themselves.  ClosedWindow is
-such a set checked to fill an axis-aligned square, the only shape this
-package builds, so the inside can never straddle its own cut.
+A window is its inside point set, a plain frozenset: the filled square
+:func:`window_inside` builds.  The cut separating a finite inside from
+the infinite outside is the set of edges leaving those points; nothing
+builds that edge set, and every function here and in
+:mod:`fractile.movies` takes the points themselves.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .grid import DIRECTIONS, Direction, Point, PointSet, extents
-
-
-class ClosedWindow(frozenset):
-    """A square cut of the grid, named by the points it encloses: a
-    frozenset of them, checked on construction to fill a square."""
-
-    def __new__(cls, inside: Iterable[Point]) -> "ClosedWindow":
-        self = super().__new__(cls, inside)
-        if not self:
-            raise ValueError("window inside must be nonempty")
-        ext = extents(self)
-        side = ext.right - ext.left + 1
-        if ext.top - ext.bottom + 1 != side or len(self) != side * side:
-            raise ValueError("window inside must be a filled axis-aligned square")
-        return self
+from .grid import DIRECTIONS, Direction, Point, PointSet
 
 
 class WindowSpec(
@@ -81,8 +65,8 @@ def window_inside(spec: WindowSpec) -> PointSet:
     return frozenset((ox + dx, oy + dy) for dx in range(n) for dy in range(n))
 
 
-def closed_window(spec: WindowSpec) -> ClosedWindow:
-    return ClosedWindow(window_inside(spec))
+# the name the acceptance tests use for a window built from its spec
+closed_window = window_inside
 
 
 def translation(c: int, g: int, i: int, j: int, e: int, f: int, p: int, q: int) -> Point:

@@ -15,6 +15,8 @@ from fractile.cli import main
 
 SIERPINSKI_GEN = "g=2\n#.\n##\n"
 FULL2_GEN = "g=2\n##\n##\n"
+# its pier window's glue line runs along the east side
+EAST_GLUE_GEN = "g=2\n.#\n##\n"
 RIBBON_TAS = "temperature 1\ntile col N=n:1 E=-:0 S=n:1 W=-:0\nseed 0 0 col\n"
 
 ANALYZE_SIERPINSKI = """\
@@ -38,6 +40,7 @@ def files(tmp_path, sierpinski):
     paths = {
         "sierpinski.gen": SIERPINSKI_GEN,
         "full2.gen": FULL2_GEN,
+        "east.gen": EAST_GLUE_GEN,
         "orthogonal4.gen": ORTHOGONAL4_GEN,
         "bad.gen": "g=banana\n####\n",
         "ribbon.tas": RIBBON_TAS,
@@ -370,8 +373,13 @@ class TestRender:
                 ["stages", "sierpinski.gen", "--stage", "2", "--scale", "2", "--format", "svg"],
                 "96b374591cd72f2c675aa60fe0d6ed169c9f81ccf2950fc96773c2d12c93c51e",
             ),
+            (
+                # the only input here whose glue marker is a vertical strip
+                ["render", "east.gen"],
+                "94e58e0eab9937c5cff1679fc89d1ae88b018bfcc40f34763c8aef7c5a8dfb2d",
+            ),
         ],
-        ids=["render", "stages"],
+        ids=["render", "stages", "render-east"],
     )
     def test_svg_bytes_pinned(self, files, capsys, argv, sha256):
         # class counts leave rect geometry and attribute text unpinned

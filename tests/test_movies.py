@@ -5,7 +5,6 @@ import pytest
 from fractile import (
     Assembly,
     Box,
-    ClosedWindow,
     Direction,
     Glue,
     GlueEvent,
@@ -97,11 +96,6 @@ class TestRecordMovie:
         a = record_movie(ribbon_run, frozenset({(0, 1)}))
         b = record_movie(ribbon_run, frozenset({(0, 1)}))
         assert a == b
-
-    def test_window_representations_agree(self, ribbon_run):
-        raw = movie_at(ribbon_run, {(0, 1)})
-        closed = record_movie(ribbon_run, ClosedWindow(frozenset({(0, 1)})))
-        assert raw == closed
 
 
 class TestBondForming:

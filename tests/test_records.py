@@ -237,7 +237,7 @@ def test_every_public_and_cli_name_resolves():
     _new_modules(
         "import fractile, fractile.cli as cli\n"
         "for name in fractile.__all__: getattr(fractile, name)\n"
-        "for names in cli._USES.values(): [getattr(cli, name) for name in names]"
+        "for name in fractile.__all__: getattr(cli, name)"
     )
     import fractile
     import fractile.cli as cli
@@ -245,9 +245,7 @@ def test_every_public_and_cli_name_resolves():
     for name in fractile.__all__:
         owner = import_module(f"fractile.{fractile._OWNER[name]}")
         assert getattr(fractile, name) is getattr(owner, name)
-    for module, names in cli._USES.items():
-        for name in names:
-            assert getattr(cli, name) is getattr(import_module(f"fractile.{module}"), name)
+        assert getattr(cli, name) is getattr(owner, name)
     assert set(fractile.__all__) <= set(dir(fractile))
     assert fractile.tiles is import_module("fractile.tiles")
     with pytest.raises(AttributeError):

@@ -262,6 +262,24 @@ class TestRefute:
             assert isinstance(report, NoMatchReport)
             assert len(report.groups) == 3
 
+    def test_seed_inside_one_window_is_skipped(self, sierpinski):
+        # (2, 1) is the stage-2 window's one cell and lies outside the
+        # stage-3 window
+        system = tree_edge_system(sierpinski, 3)
+        tile = next(t for t in system.tiles if t.name == "t2x1")
+        seeded = TileSystem(system.tiles, Assembly({(2, 1): tile}), system.temperature)
+        report = refute(RefutationConfig(sierpinski, 1, seeded, max_stage=3))
+        assert isinstance(report, NoMatchReport)
+        assert report.notes == ("stages 2->3: skipped by the seed rule (inside/outside)",)
+
+    def test_no_growth_gives_one_empty_submovie(self, sierpinski, uniform_system):
+        # with no step taken, only the origin seed is placed, and it
+        # presents no glue along any pier window
+        cfg = RefutationConfig(sierpinski, 1, uniform_system, max_stage=4, max_steps=0)
+        text = format_no_match(refute(cfg))
+        assert "distinct-submovies: 1\nsubmovie at stages 2 3 4:\n  (empty)\npair log:\n" in text
+        assert text.count(": identical window interiors, transplant is vacuous\n") == 3
+
     def test_rejects_non_tree_fractal(self):
         full = Generator(2, frozenset({(0, 0), (1, 0), (0, 1), (1, 1)}))
         system = tree_edge_system(Generator(2, frozenset({(0, 0), (1, 0), (0, 1)})), 2)

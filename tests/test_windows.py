@@ -7,7 +7,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fractile import (
-    ClosedWindow,
     Direction,
     WindowSpec,
     boundary_contacts,
@@ -34,46 +33,18 @@ def contacts_by_side(w, shape):
 
 
 class TestClosedWindow:
-    def test_accepts_filled_squares(self):
-        for side in (1, 2, 5):
-            w = ClosedWindow(square((3, -2), side))
-            assert len(w) == side * side
-            assert isinstance(w, frozenset)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="nonempty"):
-            ClosedWindow(frozenset())
-
-    def test_rejects_non_squares(self):
-        rectangle = {(0, 0), (1, 0)}
-        ell = {(0, 0), (1, 0), (0, 1)}
-        holed = square((0, 0), 3) - {(1, 1)}
-        for bad in (rectangle, ell, holed):
-            with pytest.raises(ValueError, match="filled axis-aligned square"):
-                ClosedWindow(frozenset(bad))
-
-    def test_contains(self):
-        w = ClosedWindow(square((0, 0), 2))
-        assert (1, 1) in w
-        assert (2, 0) not in w
-
-    def test_equals_plain_frozenset(self):
-        pts = square((2, 2), 3)
-        w = ClosedWindow(pts)
-        assert w == pts and pts == w
-        assert hash(w) == hash(pts)
-        assert {pts: "window"}[w] == "window"
-        assert w == set(pts)
+    """A closed window is the plain frozenset of a filled square's points;
+    its cut is the set of edges leaving them."""
 
     def test_translate(self):
         # a shifted square is still a closed window
-        w = ClosedWindow(square((0, 0), 2))
-        assert ClosedWindow(translate(w, (5, -1))) == square((5, -1), 2)
+        w = square((0, 0), 2)
+        assert translate(w, (5, -1)) == square((5, -1), 2)
 
     def test_cut_edges_unit_window(self):
         # against a shape covering the whole cut, boundary_contacts lists
         # exactly the cut edges
-        w = ClosedWindow(frozenset({(4, 7)}))
+        w = frozenset({(4, 7)})
         contacts = boundary_contacts(w, square((3, 6), 3))
         assert contacts == {
             Direction.N: [((4, 7), (4, 8))],
@@ -83,7 +54,7 @@ class TestClosedWindow:
         }
 
     def test_cut_edges_point_from_inside(self):
-        w = ClosedWindow(square((0, 0), 3))
+        w = square((0, 0), 3)
         for d, pairs in boundary_contacts(w, square((-1, -1), 5)).items():
             for p, q in pairs:
                 assert p in w and q not in w and d(p) == q
@@ -91,7 +62,7 @@ class TestClosedWindow:
     def test_cut_size_is_perimeter(self):
         # a filled n-square has exactly n outgoing edges per side
         for side in (1, 2, 3, 6):
-            w = ClosedWindow(square((-1, 2), side))
+            w = square((-1, 2), side)
             shape = square((-2, 1), side + 2)
             assert contacts_by_side(w, shape) == {d: side for d in Direction}
 
@@ -136,9 +107,8 @@ class TestWindowSpec:
     def test_closed_window_of_spec(self):
         spec = WindowSpec(2, 3, 3, (1, 1), (0, 2))
         w = closed_window(spec)
-        assert isinstance(w, ClosedWindow)
-        assert w == window_inside(spec)
-        assert len(w) == spec.side**2
+        assert isinstance(w, frozenset)
+        assert w == window_inside(spec) == square(spec.corner, spec.side)
 
 
 class TestTranslation:
@@ -250,8 +220,8 @@ class TestBoundaryContacts:
     st.tuples(st.integers(-9, 9), st.integers(-9, 9)),
 )
 def test_window_translation_round_trips(side, corner, vec):
-    w = ClosedWindow(square(corner, side))
-    moved = ClosedWindow(translate(w, vec))
-    assert ClosedWindow(translate(moved, (-vec[0], -vec[1]))) == w
+    w = square(corner, side)
+    moved = translate(w, vec)
+    assert translate(moved, (-vec[0], -vec[1])) == w
     shape = square((corner[0] - 1, corner[1] - 1), side + 2)
     assert contacts_by_side(moved, translate(shape, vec)) == contacts_by_side(w, shape)
