@@ -36,6 +36,14 @@ class TestClosedWindow:
     """A closed window is the plain frozenset of a filled square's points;
     its cut is the set of edges leaving them."""
 
+    def test_accepts_filled_squares(self):
+        for side in (1, 2, 5):
+            spec = WindowSpec(side, 2, 4, (0, 1), (3, 2))
+            w = closed_window(spec)
+            assert len(w) == side * side
+            assert type(w) is frozenset
+            assert w == square(spec.corner, side)
+
     def test_translate(self):
         # a shifted square is still a closed window
         w = square((0, 0), 2)
