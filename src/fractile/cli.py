@@ -336,3 +336,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

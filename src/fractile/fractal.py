@@ -420,71 +420,14 @@ def free_point_east(points: Iterable[Point], component: Iterable[Point]) -> Poin
 # ---------------------------------------------------------------------------
 # Pier/anchor selection
 
-# The anchor rules are solved in one canonical orientation per taxonomy
-# (north-pointing for parallel piers, east-pointing with the pier on the
-# top row for orthogonal ones) and carried to the other orientations by a
-# symmetry of the square: transform the pattern, solve, map the answer
-# back.  A transform is (swap, negx, negy): optionally swap the axes, then
-# optionally mirror each axis within the square.
-
-_Transform = tuple[bool, bool, bool]
-
-_TRANSFORMS: tuple[_Transform, ...] = (
-    (False, False, False),
-    (False, True, False),
-    (False, False, True),
-    (False, True, True),
-    (True, False, False),
-    (True, True, False),
-    (True, False, True),
-    (True, True, True),
-)
+_PREFERENCE = (TAXONOMY_REAL, TAXONOMY_PARALLEL, TAXONOMY_ORTHOGONAL)
 
 
-def _apply_point(t: _Transform, g: int, p: Point) -> Point:
-    swap, negx, negy = t
-    x, y = (p[1], p[0]) if swap else p
-    return (g - 1 - x if negx else x, g - 1 - y if negy else y)
-
-
-def _apply_dir(t: _Transform, d: Direction) -> Direction:
-    swap, negx, negy = t
-    dx, dy = (d.unit[1], d.unit[0]) if swap else d.unit
-    return Direction((-dx if negx else dx, -dy if negy else dy))
-
-
-def _invert(t: _Transform) -> _Transform:
-    swap, negx, negy = t
-    return (True, negy, negx) if swap else t
-
-
-def _topmost_below(cells: PointSet, column: int, limit: int) -> Optional[Point]:
-    ys = [y for x, y in cells if x == column and y < limit]
-    return (column, max(ys)) if ys else None
-
-
-def _solve_parallel_north(g: int, cells: PointSet, pier: Point) -> Point:
-    # North-pointing parallel pier sits at (p, g-1) on the vertical bridge.
-    p, q = pier
-    assert q == g - 1
-    column = 1 if p == 0 else p - 1
-    anchor = _topmost_below(cells, column, g - 1)
-    if anchor is None:
-        raise RuntimeError(f"no anchor cell in column {column}")
-    return anchor
-
-
-def _solve_orthogonal_east(g: int, cells: PointSet, pier: Point) -> Point:
-    # East-pointing orthogonal pier sits at (p, g-1) on the vertical bridge.
-    p, q = pier
-    assert q == g - 1
-    if p < g - 1:
-        anchor = _topmost_below(cells, p, g - 2)
-    else:
-        anchor = _topmost_below(cells, 0, g - 1)
-    if anchor is None:
-        raise RuntimeError("no anchor cell for orthogonal pier")
-    return anchor
+def _along(d: Direction, g: int, p: Point) -> int:
+    """p's coordinate along d in the g-by-g square, counted from 0 on the
+    side d points away from."""
+    dx, dy = d.unit
+    return dx * p[0] + dy * p[1] + (g - 1 if dx + dy < 0 else 0)
 
 
 def select_pier_anchor(gen: Generator, pier: Optional[Point] = None) -> PierAnchor:
@@ -494,6 +437,16 @@ def select_pier_anchor(gen: Generator, pier: Optional[Point] = None) -> PierAnch
     single-bridge, then orthogonal single-bridge; double-bridge piers are
     never selected.  Ties go to the smallest (x, y) position.  Passing
     ``pier`` forces a specific pier instead.
+
+    A real pier is its own anchor.  A single-bridge pier lies on the far
+    edge of the square along a direction ``up``: its pointing direction if
+    it is parallel, otherwise the perpendicular direction whose far edge
+    holds it.  Its anchor is the cell of greatest coordinate along ``up``,
+    below g-1, on one line parallel to ``up``.  For a parallel pier that
+    line is lateral coordinate k-1 (line 1 when k = 0), where k is the
+    pier's x for N/S piers and its y for E/W piers.  For an orthogonal pier
+    it is the pier's own line, coordinate k along its pointing direction
+    (line 0 when k = g-1).
 
     The window wraps the pier's copy-of-a-copy block, so it touches the
     rest of the shape only through the side facing the pier's support; that
@@ -511,37 +464,36 @@ def select_pier_anchor(gen: Generator, pier: Optional[Point] = None) -> PierAnch
         if chosen.taxonomy == TAXONOMY_DOUBLE:
             raise ValueError("double-bridge piers cannot anchor windows")
     else:
-        chosen = None
-        for tax in (TAXONOMY_REAL, TAXONOMY_PARALLEL, TAXONOMY_ORTHOGONAL):
-            matches = sorted(
-                (pr for pr in candidates if pr.taxonomy == tax),
-                key=lambda pr: pr.position,
-            )
-            if matches:
-                chosen = matches[0]
-                break
+        chosen = min(
+            (pr for pr in candidates if pr.taxonomy in _PREFERENCE),
+            key=lambda pr: (_PREFERENCE.index(pr.taxonomy), pr.position),
+            default=None,
+        )
         if chosen is None:
             raise ValueError("generator has no usable pier")
 
-    if chosen.taxonomy == TAXONOMY_REAL:
-        anchor = chosen.position
-    elif chosen.taxonomy == TAXONOMY_PARALLEL:
-        t = next(t for t in _TRANSFORMS if _apply_dir(t, chosen.pointing) == Direction.N)
-        cells2 = frozenset(_apply_point(t, gen.g, p) for p in gen.cells)
-        pier2 = _apply_point(t, gen.g, chosen.position)
-        anchor2 = _solve_parallel_north(gen.g, cells2, pier2)
-        anchor = _apply_point(_invert(t), gen.g, anchor2)
-    else:
-        t = next(
-            t
-            for t in _TRANSFORMS
-            if _apply_dir(t, chosen.pointing) == Direction.E
-            and _apply_point(t, gen.g, chosen.position)[1] == gen.g - 1
-        )
-        cells2 = frozenset(_apply_point(t, gen.g, p) for p in gen.cells)
-        pier2 = _apply_point(t, gen.g, chosen.position)
-        anchor2 = _solve_orthogonal_east(gen.g, cells2, pier2)
-        anchor = _apply_point(_invert(t), gen.g, anchor2)
+    g, anchor = gen.g, chosen.position
+    if chosen.taxonomy != TAXONOMY_REAL:
+        if chosen.taxonomy == TAXONOMY_PARALLEL:
+            up = chosen.pointing
+            across = Direction.E if up in (Direction.N, Direction.S) else Direction.N
+            k = _along(across, g, anchor)
+            line = k - 1 if k else 1
+        else:
+            across = chosen.pointing
+            up = next(
+                d
+                for d in DIRECTIONS
+                if d not in (across, across.inverse()) and _along(d, g, anchor) == g - 1
+            )
+            k = _along(across, g, anchor)
+            line = 0 if k == g - 1 else k
+        on_line = [
+            c for c in gen.cells if _along(across, g, c) == line and _along(up, g, c) < g - 1
+        ]
+        if not on_line:
+            raise RuntimeError(f"no anchor cell on line {line} along {up.name}")
+        anchor = max(on_line, key=lambda c: _along(up, g, c))
 
     glue_side = chosen.pointing.inverse()
     kind = "horizontal" if glue_side in (Direction.E, Direction.W) else "vertical"

@@ -50,11 +50,8 @@ class WindowSpec(
 
     @property
     def corner(self) -> Point:
-        e, f = self.anchor
-        p, q = self.pier
-        hi = self.c * self.g ** (self.stage - 1)
-        lo = self.c * self.g ** (self.stage - 2)
-        return (hi * e + lo * p, hi * f + lo * q)
+        (e, f), (p, q), n = self.anchor, self.pier, self.side
+        return (n * (self.g * e + p), n * (self.g * f + q))
 
 
 def window_inside(spec: WindowSpec) -> PointSet:
@@ -72,11 +69,8 @@ closed_window = window_inside
 def translation(c: int, g: int, i: int, j: int, e: int, f: int, p: int, q: int) -> Point:
     """Vector carrying the corner of the stage-i window to the corner of
     the stage-j window, for the same scale, side, anchor, and pier."""
-    if not 2 <= i < j:
-        raise ValueError(f"stages must satisfy 2 <= i < j, got i={i}, j={j}")
-    hi = c * (g ** (j - 1) - g ** (i - 1))
-    lo = c * (g ** (j - 2) - g ** (i - 2))
-    return (hi * e + lo * p, hi * f + lo * q)
+    m = enclosure_margin(c, g, i, j)
+    return (m * (g * e + p), m * (g * f + q))
 
 
 def enclosure_margin(c: int, g: int, i: int, j: int) -> int:

@@ -15,8 +15,8 @@ L_CELLS = frozenset({(0, 0), (1, 0), (1, 1)})
 MIRRORED_L_CELLS = frozenset({(0, 0), (0, 1), (1, 1)})
 
 # g=4 pattern with an east-pointing pier at (3,2) and a north-pointing one
-# at (2,3); the default anchor choice and the forced (3,2) choice exercise
-# two different dihedral cases.
+# at (2,3), both parallel; the default anchor choice and the forced (3,2)
+# choice exercise a north- and an east-pointing pier.
 HOOK4_CELLS = frozenset(
     {(0, 0), (1, 0), (2, 0), (0, 1), (0, 2), (1, 2), (2, 2), (3, 2), (2, 3)}
 )

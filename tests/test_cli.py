@@ -1,7 +1,11 @@
 """End-to-end tests of the command-line surface and its exit codes."""
 
 import hashlib
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ElementTree
+from pathlib import Path
 
 import pytest
 
@@ -156,6 +160,21 @@ class TestCensus:
             "side: 2\ncandidates: 8\nvalid: 5\ntree-fractal: 3\n"
             "piers real: 0\npiers parallel: 6\npiers orthogonal: 0\npiers double: 0\n"
         )
+
+    def test_module_entry_point_matches_readme(self):
+        # `python -m fractile.cli` runs the same main as the console script
+        root = Path(__file__).resolve().parent.parent
+        readme = (root / "README.md").read_text(encoding="utf-8")
+        transcript = readme.split("$ fractile census 2\n", 1)[1].split("\n\n", 1)[0] + "\n"
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        done = subprocess.run(
+            [sys.executable, "-m", "fractile.cli", "census", "2"],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=root,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, transcript, "")
 
     def test_side_four_needs_opt_in(self, capsys):
         assert main(["census", "4"]) == 2

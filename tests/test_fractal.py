@@ -326,8 +326,9 @@ def test_selected_window_is_three_sided_for_small_generators():
             assert a.pier in {p.position for p in piers(gen)}
 
 
-# Both piers are orthogonal, and solving the north-pointing one needs a
-# mirror of the pattern that moves the origin cell.
+# Both piers are orthogonal.  The chosen one, (0, 1), points north from the
+# west edge, so its anchor is the westmost cell of its own row off that
+# edge, (2, 1).
 ORTHOGONAL4_CELLS = frozenset(
     {(0, 0), (0, 1), (1, 0), (2, 0), (2, 1), (2, 3), (3, 1), (3, 2), (3, 3)}
 )
