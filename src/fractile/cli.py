@@ -122,27 +122,20 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _render_points(points, side: int, fmt: str, out: Optional[str]) -> int:
-    if fmt == "svg":
-        _emit(render_svg(points, side), out)
-    else:
-        _emit(format_grid(points, side), out)
-    return 0
-
-
-def cmd_stages(args: argparse.Namespace) -> int:
+def _scaled_stage(args: argparse.Namespace) -> tuple[Generator, int, frozenset]:
+    """The generator, the side and the cells of stage --stage at --scale;
+    the cell budget is checked before any cell is built."""
     gen = _load_generator(args.generator)
     side = args.scale * gen.g**args.stage
     check_cell_budget(side)
-    points = scale(stage(gen, args.stage), args.scale)
-    return _render_points(points, side, args.format, args.out)
+    return gen, side, scale(stage(gen, args.stage), args.scale)
 
 
-def cmd_scale(args: argparse.Namespace) -> int:
-    gen = _load_generator(args.generator)
-    side = args.scale * gen.g
-    check_cell_budget(side)
-    return _render_points(scale(gen.cells, args.scale), side, args.format, args.out)
+def cmd_stages(args: argparse.Namespace) -> int:
+    _, side, points = _scaled_stage(args)
+    draw = render_svg if args.format == "svg" else format_grid
+    _emit(draw(points, side), args.out)
+    return 0
 
 
 def cmd_census(args: argparse.Namespace) -> int:
@@ -215,10 +208,7 @@ def cmd_refute(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    gen = _load_generator(args.generator)
-    side = args.scale * gen.g**args.stage
-    check_cell_budget(side)
-    points = scale(stage(gen, args.stage), args.scale)
+    gen, side, points = _scaled_stage(args)
     windows = []
     glue_edges = []
     try:
@@ -251,14 +241,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("analyze", cmd_analyze, "characterize a generator file")
     p.add_argument("generator", help="path to a .gen file")
 
-    for name, func, help_text in (
-        ("stages", cmd_stages, "render a fractal stage"),
-        ("scale", cmd_scale, "render the c-scaled generator pattern"),
+    # scale is stage 1 of stages
+    for name, help_text in (
+        ("stages", "render a fractal stage"),
+        ("scale", "render the c-scaled generator pattern"),
     ):
-        p = add(name, func, help_text)
+        p = add(name, cmd_stages, help_text)
         p.add_argument("generator", help="path to a .gen file")
         if name == "stages":
             p.add_argument("--stage", type=int, default=2, help="stage index (default 2)")
+        else:
+            p.set_defaults(stage=1)
         p.add_argument("--scale", type=int, default=1, help="scale factor (default 1)")
         p.add_argument(
             "--format", choices=("text", "svg"), default="text", help="output format"

@@ -298,6 +298,48 @@ def _connected_bridge(points: PointSet, kind: str) -> Bridge:
     raise ValueError(f"no connected {kind} bridge")
 
 
+# Words for free_point_north's frame and for its transpose, free_point_east:
+# the free side, the far edge the component reaches, the near edge it
+# avoids, the bridge kind needed and where the point lies from the component.
+_FRAME_WORDS = {
+    Direction.N: ("north", "top row", "leftmost column", "horizontal", "below"),
+    Direction.E: ("east", "rightmost column", "bottom row", "vertical", "west of"),
+}
+
+
+def _free_point_toward(
+    points: Iterable[Point], component: Iterable[Point], up: Direction
+) -> Point:
+    """:func:`free_point_north` when ``up`` is N; with x and y swapped,
+    :func:`free_point_east` when it is E."""
+    side, far_edge, near_edge, kind, beyond = _FRAME_WORDS[up]
+    u, v = (1, 0) if up is Direction.N else (0, 1)  # along up, across it
+    pts = frozenset(points)
+    comp = _component_of(pts, component)
+    ext = extents(pts)
+    far, near = (ext.top, ext.left) if up is Direction.N else (ext.right, ext.bottom)
+    if all(p[u] != far for p in comp):
+        raise ValueError(f"component does not reach the {far_edge}")
+    if any(p[v] == near for p in comp):
+        raise ValueError(f"component touches the {near_edge}")
+    _connected_bridge(pts, kind)
+    floors: dict[int, int] = {}
+    for p in comp:
+        floors[p[v]] = min(p[u], floors.get(p[v], p[u]))
+    for line, floor in sorted(floors.items(), key=lambda kv: (kv[1], kv[0])):
+        under = [q for q in pts if q[v] == line and q[u] < floor]
+        if under:
+            point = max(under, key=lambda q: q[u])
+            break
+    else:
+        raise RuntimeError(f"no point of the set lies {beyond} the component")
+    conditions = {
+        f"{side} side free": up(point) not in pts,
+        f"{beyond} the {far_edge}": point[u] < far,
+    }
+    return _check_free_point(pts, comp, point, conditions)
+
+
 def free_point_north(points: Iterable[Point], component: Iterable[Point]) -> Point:
     """A north-free point outside ``component``, strictly below the top row.
 
@@ -307,34 +349,7 @@ def free_point_north(points: Iterable[Point], component: Iterable[Point]) -> Poi
     the component is north-free: the component is a maximal connected
     piece, so the cell separating the two would otherwise belong to it.
     """
-    pts = frozenset(points)
-    comp = _component_of(pts, component)
-    ext = extents(pts)
-    if all(y != ext.top for _, y in comp):
-        raise ValueError("component does not reach the top row")
-    if any(x == ext.left for x, _ in comp):
-        raise ValueError("component touches the leftmost column")
-    _connected_bridge(pts, "horizontal")
-    bottoms: dict[int, int] = {}
-    for x, y in comp:
-        bottoms[x] = min(y, bottoms.get(x, y))
-    point = None
-    for x, floor in sorted(bottoms.items(), key=lambda kv: (kv[1], kv[0])):
-        below = [q for q in pts if q[0] == x and q[1] < floor]
-        if below:
-            point = max(below, key=lambda q: q[1])
-            break
-    if point is None:
-        raise RuntimeError("no point of the set lies below the component")
-    return _check_free_point(
-        pts,
-        comp,
-        point,
-        {
-            "north side free": Direction.N(point) not in pts,
-            "below the top row": point[1] < ext.top,
-        },
-    )
+    return _free_point_toward(points, component, Direction.N)
 
 
 def free_point_northeast(points: Iterable[Point], component: Iterable[Point]) -> Point:
@@ -382,39 +397,12 @@ def free_point_east(points: Iterable[Point], component: Iterable[Point]) -> Poin
     """An east-free point outside ``component``, strictly west of it.
 
     Requires a connected vertical bridge and a component that touches the
-    rightmost column but not the bottom row.  Mirror image of
+    rightmost column but not the bottom row.  The transpose of
     :func:`free_point_north`: scanning the component's rows (leftmost
     first), the rightmost point of the set strictly west of the component
     is east-free by the same maximality argument.
     """
-    pts = frozenset(points)
-    comp = _component_of(pts, component)
-    ext = extents(pts)
-    if all(x != ext.right for x, _ in comp):
-        raise ValueError("component does not reach the rightmost column")
-    if any(y == ext.bottom for _, y in comp):
-        raise ValueError("component touches the bottom row")
-    _connected_bridge(pts, "vertical")
-    lefts: dict[int, int] = {}
-    for x, y in comp:
-        lefts[y] = min(x, lefts.get(y, x))
-    point = None
-    for y, wall in sorted(lefts.items(), key=lambda kv: (kv[1], kv[0])):
-        west = [q for q in pts if q[1] == y and q[0] < wall]
-        if west:
-            point = max(west, key=lambda q: q[0])
-            break
-    if point is None:
-        raise RuntimeError("no point of the set lies west of the component")
-    return _check_free_point(
-        pts,
-        comp,
-        point,
-        {
-            "east side free": Direction.E(point) not in pts,
-            "west of the rightmost column": point[0] < ext.right,
-        },
-    )
+    return _free_point_toward(points, component, Direction.E)
 
 
 # ---------------------------------------------------------------------------

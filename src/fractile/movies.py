@@ -60,15 +60,6 @@ class WindowMovie(NamedTuple):
 _CUT_ORDER = (Direction.W, Direction.S, Direction.N, Direction.E)
 
 
-def _cut_events(inside: frozenset, step: int, pos: Point, tile: TileType) -> list[GlueEvent]:
-    events = []
-    for d in _CUT_ORDER:
-        q = d(pos)
-        if ((pos in inside) != (q in inside)) and tile.glue(d).strength > 0:
-            events.append(GlueEvent(step, pos, d, tile.glue(d)))
-    return events
-
-
 def record_movie(seq: AssemblySequence, inside: PointSet) -> WindowMovie:
     """Record the glue events ``seq`` presents along the cut around the
     window ``inside``.
@@ -80,11 +71,12 @@ def record_movie(seq: AssemblySequence, inside: PointSet) -> WindowMovie:
     """
     inside = frozenset(inside)
     events: list[GlueEvent] = []
-    start = seq.initial
-    for pos in start:
-        events.extend(_cut_events(inside, 0, pos, start[pos]))
-    for ev in seq.events:
-        events.extend(_cut_events(inside, ev.index, ev.position, ev.tile))
+    start = ((0, pos, tile) for pos, tile in seq.initial.items())
+    for step, pos, tile in chain(start, seq.events):
+        here = pos in inside
+        for d in _CUT_ORDER:
+            if (d(pos) in inside) != here and tile.glue(d).strength > 0:
+                events.append(GlueEvent(step, pos, d, tile.glue(d)))
     return WindowMovie(tuple(events))
 
 

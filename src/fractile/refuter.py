@@ -4,11 +4,12 @@ Given a tree-fractal generator and a tile system that is supposed to
 build the scaled fractal, run the system once, record the bond-forming
 submovies along the pier windows of successive stages, and look for two
 stages whose submovies coincide under the stage-to-stage shift.  Such a
-pair lets the larger window's interior be replaced by the smaller one's;
-when the transplanted assembly differs from the fractal, that splice is a
-machine-checkable counterexample certificate.  If no pair matches within
-the stage budget, the distinct submovies themselves are the (honest,
-resource-bounded) answer.
+pair lets the larger window's interior be replaced by the smaller one's.
+A certificate records a splice that replays and whose domain differs from
+the target; nothing more is checked, so the spliced result may be an
+on-target partial assembly rather than off-target growth.  If no pair
+matches within the stage budget, the distinct submovies themselves are
+the (honest, resource-bounded) answer.
 """
 
 from __future__ import annotations
@@ -113,8 +114,8 @@ class RefutationConfig(NamedTuple):
 
 
 class SpliceCertificate(NamedTuple):
-    """A verified counterexample: the splice replays and its result is
-    not the target shape."""
+    """A splice that replays and whose domain differs from the target;
+    the result may still be an on-target partial assembly."""
 
     config: RefutationConfig
     pier_anchor: PierAnchor

@@ -12,6 +12,7 @@ import pytest
 from fractile import (
     PIER_LABELS_STAGED,
     PIER_LABELS_UNIFORM,
+    format_generator,
     format_tile_system,
     tree_edge_system,
 )
@@ -40,9 +41,10 @@ STAGE2_GRID = "g=4\n#...\n##..\n#.#.\n####\n"
 
 
 @pytest.fixture
-def files(tmp_path, sierpinski):
+def files(tmp_path, sierpinski, hook4):
     paths = {
         "sierpinski.gen": SIERPINSKI_GEN,
+        "hook4.gen": format_generator(hook4),
         "full2.gen": FULL2_GEN,
         "east.gen": EAST_GLUE_GEN,
         "orthogonal4.gen": ORTHOGONAL4_GEN,
@@ -126,6 +128,16 @@ class TestStagesAndScale:
     def test_scaled_generator(self, files, capsys):
         assert main(["scale", str(files / "sierpinski.gen"), "--scale", "2"]) == 0
         assert capsys.readouterr().out == "g=4\n##..\n##..\n####\n####\n"
+
+    def test_scale_prints_stage_one(self, files, capsys):
+        for name in ("sierpinski.gen", "hook4.gen"):
+            for factor in ("1", "2"):
+                for fmt in ("text", "svg"):
+                    tail = ["--scale", factor, "--format", fmt]
+                    assert main(["scale", str(files / name), *tail]) == 0
+                    scaled = capsys.readouterr()
+                    assert main(["stages", str(files / name), "--stage", "1", *tail]) == 0
+                    assert capsys.readouterr() == scaled, (name, factor, fmt)
 
     def test_cell_cap(self, files, capsys, monkeypatch):
         monkeypatch.setenv("FRACTILE_CELL_CAP", "10")

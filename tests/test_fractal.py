@@ -319,13 +319,6 @@ def test_select_pier_anchor_rejects_bad_inputs(sierpinski):
         select_pier_anchor(sierpinski, pier=(0, 0))
 
 
-def test_selected_window_is_three_sided_for_small_generators():
-    for g in (2, 3):
-        for gen in census(g).tree_fractal_generators:
-            a = select_pier_anchor(gen)
-            assert a.pier in {p.position for p in piers(gen)}
-
-
 # Both piers are orthogonal.  The chosen one, (0, 1), points north from the
 # west edge, so its anchor is the westmost cell of its own row off that
 # edge, (2, 1).
@@ -343,12 +336,14 @@ def test_select_pier_anchor_mirrors_cells_not_generators():
 
 
 def test_anchor_sweep_over_all_small_tree_fractal_generators():
-    """Every tree-fractal generator of side 2-4 gets an anchor whose stage-2
-    window touches the rest of the stage on glue_side alone, at one pair."""
+    """Every tree-fractal generator of side 2-4 gets an anchor at one of its
+    piers, whose stage-2 window touches the rest of the stage on glue_side
+    alone, at one pair."""
     swept = 0
     for g in (2, 3, 4):
         for gen in census(g, allow_large=True).tree_fractal_generators:
             a = select_pier_anchor(gen)
+            assert a.pier in {p.position for p in piers(gen)}, gen
             inside = window_inside(WindowSpec(1, 2, g, a.anchor, a.pier))
             contacts = boundary_contacts(inside, stage(gen, 2))
             assert [d for d in DIRECTIONS if contacts[d]] == [a.glue_side], gen
@@ -511,6 +506,34 @@ def test_free_points_against_brute_force_oracle():
             hits[name] += 1
             assert p in oracle(rest, comp), (name, sorted(rest), sorted(comp))
     assert all(n >= 20 for n in hits.values()), hits
+
+
+# free_point_north's refusals, as free_point_east words them on the transpose
+TRANSPOSED_REFUSALS = {
+    "C is not a connected component of G": "C is not a connected component of G",
+    "component does not reach the top row": "component does not reach the rightmost column",
+    "component touches the leftmost column": "component touches the bottom row",
+    "no connected horizontal bridge": "no connected vertical bridge",
+}
+
+
+def test_free_point_east_is_north_transposed():
+    def flip(points):
+        return frozenset((y, x) for x, y in points)
+
+    found = refused = 0
+    for rest, comp in detachment_corpus():
+        try:
+            x, y = free_point_north(rest, comp)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as east:
+                free_point_east(flip(rest), flip(comp))
+            assert str(east.value) == TRANSPOSED_REFUSALS[str(exc)]
+            refused += 1
+            continue
+        assert free_point_east(flip(rest), flip(comp)) == (y, x)
+        found += 1
+    assert (found, refused) == (146, 1895)
 
 
 # ---------------------------------------------------------------------------
