@@ -273,9 +273,7 @@ def piers(gen: Generator) -> list[Pier]:
 # trusted.
 
 
-def _check_free_point(
-    pts: PointSet, comp: PointSet, p: Point, conditions: dict[str, bool]
-) -> Point:
+def _check_free_point(comp: PointSet, p: Point, conditions: dict[str, bool]) -> Point:
     conditions = {"point outside the component": p not in comp, **conditions}
     for what, ok in conditions.items():
         if not ok:
@@ -337,7 +335,7 @@ def _free_point_toward(
         f"{side} side free": up(point) not in pts,
         f"{beyond} the {far_edge}": point[u] < far,
     }
-    return _check_free_point(pts, comp, point, conditions)
+    return _check_free_point(comp, point, conditions)
 
 
 def free_point_north(points: Iterable[Point], component: Iterable[Point]) -> Point:
@@ -382,7 +380,6 @@ def free_point_northeast(points: Iterable[Point], component: Iterable[Point]) ->
     if point is None:
         raise RuntimeError("no point of the set lies west of the component's top row")
     return _check_free_point(
-        pts,
         comp,
         point,
         {
@@ -502,7 +499,8 @@ def _check_anchor_window(gen: Generator, anchor: PierAnchor) -> None:
     contacts = boundary_contacts(window_inside(spec), shape)
     bad = [d for d in DIRECTIONS if d != anchor.glue_side and contacts[d]]
     if bad or len(contacts[anchor.glue_side]) != 1:
-        raise RuntimeError(f"window at {anchor} is not three-sided on stage 2")
+        where = f"pier {anchor.pier}, anchor {anchor.anchor}, glue side {anchor.glue_side.name}"
+        raise RuntimeError(f"window at {where} is not three-sided on stage 2")
 
 
 # ---------------------------------------------------------------------------

@@ -9,46 +9,40 @@ horizontal or vertical distance.
 from __future__ import annotations
 
 from collections import deque
-from enum import Enum
+from enum import IntEnum
 from typing import Iterable, NamedTuple
 
 Point = tuple[int, int]
 PointSet = frozenset[Point]
 
 
-class Direction(Enum):
-    """The four lattice directions, usable as functions on points."""
+class Direction(IntEnum):
+    """The four sides of a cell, numbered N=0, E=1, S=2, W=3.
 
-    N = (0, 1)
-    E = (1, 0)
-    S = (0, -1)
-    W = (-1, 0)
+    This is the one side order: :func:`neighbors` lists a point's
+    neighbours in it, and a tile's glues are indexed by it.  Side ``d`` of
+    one cell faces side ``d ^ 2`` of the neighbour across it.  A direction
+    is also a function on points, to the neighbour on that side.
+    """
+
+    N = 0
+    E = 1
+    S = 2
+    W = 3
 
     @property
     def unit(self) -> Point:
-        return self.value
+        return neighbors((0, 0))[self]
 
     def __call__(self, p: Point) -> Point:
-        return (p[0] + self.value[0], p[1] + self.value[1])
+        return neighbors(p)[self]
 
     def inverse(self) -> "Direction":
-        return _INVERSE[self]
+        return DIRECTIONS[self ^ 2]
 
 
-_INVERSE = {
-    Direction.N: Direction.S,
-    Direction.S: Direction.N,
-    Direction.E: Direction.W,
-    Direction.W: Direction.E,
-}
-
-#: Fixed iteration order for the four directions.
-DIRECTIONS: tuple[Direction, ...] = (
-    Direction.N,
-    Direction.E,
-    Direction.S,
-    Direction.W,
-)
+#: The directions in side order, so ``DIRECTIONS[d] is d``.
+DIRECTIONS: tuple[Direction, ...] = tuple(Direction)
 
 
 class Extents(NamedTuple):

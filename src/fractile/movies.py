@@ -15,7 +15,8 @@ from __future__ import annotations
 from itertools import chain
 from typing import NamedTuple
 
-from .grid import Direction, Point, PointSet, translate
+from .grid import Direction, Point, PointSet, neighbors, translate
+from .stability import _sides
 from .tiles import (
     Assembly,
     AssemblySequence,
@@ -51,7 +52,7 @@ class WindowMovie(NamedTuple):
             return ()
         bx, by = self.events[0].vertex
         return tuple(
-            (e.vertex[0] - bx, e.vertex[1] - by, e.orientation.name, e.glue.label, e.glue.strength)
+            (e.vertex[0] - bx, e.vertex[1] - by, e.orientation, e.glue.label, e.glue.strength)
             for e in self.events
         )
 
@@ -74,9 +75,10 @@ def record_movie(seq: AssemblySequence, inside: PointSet) -> WindowMovie:
     start = ((0, pos, tile) for pos, tile in seq.initial.items())
     for step, pos, tile in chain(start, seq.events):
         here = pos in inside
+        cells, glues = neighbors(pos), _sides(tile)
         for d in _CUT_ORDER:
-            if (d(pos) in inside) != here and tile.glue(d).strength > 0:
-                events.append(GlueEvent(step, pos, d, tile.glue(d)))
+            if glues[d].strength > 0 and (cells[d] in inside) != here:
+                events.append(GlueEvent(step, pos, d, glues[d]))
     return WindowMovie(tuple(events))
 
 
@@ -87,12 +89,11 @@ def bond_forming(movie: WindowMovie, result: Assembly) -> WindowMovie:
     """
     kept = []
     for e in movie.events:
-        q = e.orientation(e.vertex)
-        if e.vertex not in result or q not in result:
-            continue
-        facing = result[q].glue(e.orientation.inverse())
-        if glues_bind(result[e.vertex].glue(e.orientation), facing) > 0:
-            kept.append(e)
+        d, p = e.orientation, e.vertex
+        q = neighbors(p)[d]
+        if p in result and q in result:
+            if glues_bind(_sides(result[p])[d], _sides(result[q])[d ^ 2]) > 0:
+                kept.append(e)
     return WindowMovie(tuple(kept))
 
 

@@ -36,6 +36,7 @@ from .movies import (
     splice,
     submovie_matches,
 )
+from .stability import _sides
 from .tiles import (
     DEFAULT_MAX_STEPS,
     Assembly,
@@ -60,12 +61,7 @@ def glue_line_bound(system: TileSystem, c: int) -> int:
     """
     if c < 1:
         raise ValueError(f"scale factor must be >= 1, got {c}")
-    glues = {
-        g
-        for t in system.tiles
-        for g in (t.north, t.east, t.south, t.west)
-        if g.strength > 0
-    }
+    glues = {g for t in system.tiles for g in _sides(t) if g.strength > 0}
     return len(glues) ** (2 * c) * math.factorial(2 * c)
 
 

@@ -22,8 +22,8 @@ def glues_bind(a: Glue, b: Glue) -> int:
 
 
 def _sides(tile: TileType) -> tuple[Glue, Glue, Glue, Glue]:
-    """Glues in N, E, S, W order, the order of :func:`grid.neighbors`; side
-    ``i`` of one tile faces side ``i ^ 2`` of the next."""
+    """The tile's glues indexed by side, in the order of
+    :class:`grid.Direction`."""
     return (tile.north, tile.east, tile.south, tile.west)
 
 

@@ -11,7 +11,7 @@ can.
 from __future__ import annotations
 
 from .fractal import Generator, select_pier_anchor, stage
-from .grid import DIRECTIONS, Point
+from .grid import Point, neighbors
 from .tiles import NULL_GLUE, Assembly, Glue, TileSystem, TileType
 from .windows import WindowSpec, boundary_contacts, window_inside
 
@@ -57,14 +57,12 @@ def tree_edge_system(
         lo, hi = sorted((a, b))
         return Glue(f"e{lo[0]}x{lo[1]}-{hi[0]}x{hi[1]}", temperature)
 
-    tiles = []
-    for cell in sorted(points, key=lambda v: (v[1], v[0])):
-        sides = {}
-        for d in DIRECTIONS:
-            nb = d(cell)
-            sides[d.name] = edge_glue(cell, nb) if nb in points else NULL_GLUE
-        tiles.append(
-            TileType(f"t{cell[0]}x{cell[1]}", sides["N"], sides["E"], sides["S"], sides["W"])
+    tiles = [
+        TileType(
+            f"t{cell[0]}x{cell[1]}",
+            *(edge_glue(cell, nb) if nb in points else NULL_GLUE for nb in neighbors(cell)),
         )
+        for cell in sorted(points, key=lambda v: (v[1], v[0]))
+    ]
     origin = next(t for t in tiles if t.name == "t0x0")
     return TileSystem(tuple(tiles), Assembly({(0, 0): origin}), temperature)

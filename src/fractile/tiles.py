@@ -33,7 +33,7 @@ from bisect import bisect_left
 from collections.abc import Mapping
 from typing import Container, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .grid import DIRECTIONS, Direction, Point, PointSet, is_connected, neighbors
+from .grid import Direction, Point, PointSet, is_connected, neighbors
 from .stability import _sides, glues_bind, is_tau_stable
 
 DEFAULT_MAX_STEPS = 100_000
@@ -87,7 +87,7 @@ class TileType(
         return super().__new__(cls, name, north, east, south, west)
 
     def glue(self, side: Direction) -> Glue:
-        return _sides(self)[DIRECTIONS.index(side)]
+        return _sides(self)[side]
 
 
 class Assembly(Mapping):
@@ -610,10 +610,10 @@ def parse_tile_system(text: str) -> TileSystem:
             glues = {}
             for token in tokens[2:]:
                 side, sep, rest = token.partition("=")
-                if not sep or side not in ("N", "E", "S", "W") or side in glues:
+                if not sep or side not in Direction.__members__ or side in glues:
                     raise ValueError(f"line {lineno}: bad side assignment {token!r}")
                 glues[side] = _parse_glue(rest, lineno)
-            tile = TileType(name, glues["N"], glues["E"], glues["S"], glues["W"])
+            tile = TileType(name, *(glues[d.name] for d in Direction))
             tile_list.append(tile)
             by_name[name] = tile
         elif kind == "seed":
@@ -639,11 +639,8 @@ def format_tile_system(system: TileSystem) -> str:
     """Inverse of :func:`parse_tile_system`; canonical output round-trips."""
     lines = [f"temperature {system.temperature}"]
     for t in system.tiles:
-        lines.append(
-            f"tile {t.name}"
-            f" N={_format_glue(t.north)} E={_format_glue(t.east)}"
-            f" S={_format_glue(t.south)} W={_format_glue(t.west)}"
-        )
+        sides = (f"{d.name}={_format_glue(g)}" for d, g in zip(Direction, _sides(t)))
+        lines.append(f"tile {t.name} " + " ".join(sides))
     for (x, y), t in system.seed.items():
         lines.append(f"seed {x} {y} {t.name}")
     return "\n".join(lines) + "\n"

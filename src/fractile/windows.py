@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from .grid import DIRECTIONS, Direction, Point, PointSet
+from .grid import DIRECTIONS, Direction, Point, PointSet, neighbors
 
 
 class WindowSpec(
@@ -108,8 +108,7 @@ def boundary_contacts(
     shape_set = frozenset(shape)
     out: dict[Direction, list[tuple[Point, Point]]] = {d: [] for d in DIRECTIONS}
     for p in sorted(inside & shape_set):
-        for d in DIRECTIONS:
-            q = d(p)
+        for d, q in zip(DIRECTIONS, neighbors(p)):
             if q not in inside and q in shape_set:
                 out[d].append((p, q))
     return out

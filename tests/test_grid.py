@@ -10,8 +10,9 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from fractile import DIRECTIONS, Direction, is_connected, neighbors, translate
+from fractile import DIRECTIONS, Direction, Glue, TileType, is_connected, neighbors, translate
 from fractile.grid import connected_components, extents, free_directions, grid_edges, is_tree
+from fractile.stability import _sides
 
 BOARD3 = [(x, y) for y in range(3) for x in range(3)]
 
@@ -76,6 +77,18 @@ def test_direction_units_and_inverses():
 
 def test_neighbors_order():
     assert neighbors((2, 5)) == ((2, 6), (3, 5), (2, 4), (1, 5))
+
+
+def test_one_side_numbering():
+    """A direction is its index into neighbors and into a tile's glues, and
+    side d faces side d ^ 2."""
+    t = TileType("t", Glue("n", 1), Glue("e", 2), Glue("s", 1), Glue("w", 2))
+    for d in Direction:
+        assert DIRECTIONS[d] is d
+        assert d.inverse() is DIRECTIONS[d ^ 2]
+        assert t.glue(d) == _sides(t)[d]
+        for p in [(0, 0), (2, 5), (-3, 4)]:
+            assert d(p) == neighbors(p)[d]
 
 
 def test_free_directions():

@@ -12,6 +12,7 @@ from fractile import (
     Assembly,
     Box,
     Direction,
+    DIRECTIONS,
     Glue,
     LexicographicPolicy,
     NULL_GLUE,
@@ -345,7 +346,7 @@ def square_ring(side):
     glue = {}
     for i, p in enumerate(ring):
         q = ring[(i + 1) % len(ring)]
-        d = Direction((q[0] - p[0], q[1] - p[1]))
+        d = DIRECTIONS[neighbors(p).index(q)]
         glue[(p, d)] = glue[(q, d.inverse())] = Glue(f"r{i}", 1)
     return glued_assembly(ring, glue)
 
