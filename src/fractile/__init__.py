@@ -13,15 +13,15 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "fractal": """Bridge CensusStats Generator Pier PierAnchor TAXONOMY_DOUBLE
         TAXONOMY_ORTHOGONAL TAXONOMY_PARALLEL TAXONOMY_REAL bridges census
-        format_generator free_point_east free_point_north free_point_northeast
-        is_tree_fractal_generator parse_generator piers random_valid_generator
-        scale select_pier_anchor stage stage_property""",
+        format_generator format_grid free_point_east free_point_north
+        free_point_northeast is_tree_fractal_generator parse_generator piers
+        random_valid_generator scale select_pier_anchor stage stage_property""",
     "grid": "DIRECTIONS Direction is_connected neighbors translate",
     "movies": """GlueEvent SpliceError WindowMovie bond_forming format_movie
         record_movie splice""",
     "refuter": """NoMatchReport RefutationConfig SpliceCertificate SubmovieGroup
-        format_certificate format_no_match glue_line_bound refute""",
-    "render": "check_cell_budget format_grid render_svg",
+        format_certificate format_no_match refute""",
+    "render": "check_cell_budget render_svg",
     "systems": "PIER_LABELS_STAGED PIER_LABELS_UNIFORM tree_edge_system",
     "stability": "is_tau_stable",
     "tiles": """Assembly AssemblySequence Box DEFAULT_MAX_STEPS Glue

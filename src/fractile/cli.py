@@ -14,25 +14,17 @@ from typing import Optional, Sequence
 
 from . import _EXPORTS, _OWNER
 
-# The library modules each command runs.  Building the parser needs none
-# of them; main binds the public names of the chosen command's modules
-# once the arguments parse, so a process compiles only what its command
-# runs.  Each public name also resolves on first access as an attribute of
-# this module, and a name rebound here before main runs is the one the
-# command calls.
-_COMMAND_USES = {
-    "analyze": ("fractal",),
-    "census": ("fractal",),
-    "simulate": ("tiles",),
-    "stages": ("fractal", "render"),
-    "scale": ("fractal", "render"),
-    "movie": ("fractal", "tiles", "movies", "windows"),
-    "refute": ("fractal", "tiles", "refuter"),
-    "render": ("fractal", "render", "windows"),
-}
-
 
 def _bind(module: str) -> None:
+    """Bind the public names of a library module in this module.
+
+    Building the parser needs no library module: main binds the names of
+    the modules the chosen command uses once the arguments parse, so a
+    process compiles only what its command runs.  Each public name also
+    resolves on first access as an attribute of this module.  A name that
+    is already bound is kept, so one rebound here before main runs is the
+    one the command calls; perfbench's traced pass wraps names that way.
+    """
     found = vars(import_module(f".{module}", __package__))
     for name in _EXPORTS[module].split():
         globals().setdefault(name, found[name])
@@ -213,7 +205,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     glue_edges = []
     try:
         anchor = select_pier_anchor(gen)
-    except ValueError:  # not a tree fractal, or no usable pier
+    except ValueError:  # not a tree fractal
         anchor = None
     if anchor is not None:
         for s in range(2, args.stage + 1):
@@ -232,13 +224,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, func, uses: str, help_text: str) -> argparse.ArgumentParser:
+        # uses: the library modules the command runs, bound by main
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, uses=uses.split())
         p.add_argument("--out", help="write output to this file instead of stdout")
         return p
 
-    p = add("analyze", cmd_analyze, "characterize a generator file")
+    p = add("analyze", cmd_analyze, "fractal", "characterize a generator file")
     p.add_argument("generator", help="path to a .gen file")
 
     # scale is stage 1 of stages
@@ -246,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("stages", "render a fractal stage"),
         ("scale", "render the c-scaled generator pattern"),
     ):
-        p = add(name, cmd_stages, help_text)
+        p = add(name, cmd_stages, "fractal render", help_text)
         p.add_argument("generator", help="path to a .gen file")
         if name == "stages":
             p.add_argument("--stage", type=int, default=2, help="stage index (default 2)")
@@ -257,13 +250,13 @@ def build_parser() -> argparse.ArgumentParser:
             "--format", choices=("text", "svg"), default="text", help="output format"
         )
 
-    p = add("census", cmd_census, "enumerate all generators of a side")
+    p = add("census", cmd_census, "fractal", "enumerate all generators of a side")
     p.add_argument("g", type=int, help="side length")
     p.add_argument(
         "--allow-large", action="store_true", help="permit the 32768-candidate side-4 run"
     )
 
-    p = add("simulate", cmd_simulate, "run a tile system")
+    p = add("simulate", cmd_simulate, "tiles", "run a tile system")
     p.add_argument("system", help="path to a .tas file")
     p.add_argument(
         "--region", type=_region, help="bounding box x0,y0,x1,y1 (default unbounded)"
@@ -274,7 +267,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed for the uniform policy")
     p.add_argument("--max-steps", type=_step_budget, help="step budget")
 
-    p = add("movie", cmd_movie, "record a window movie along a stage window")
+    p = add(
+        "movie",
+        cmd_movie,
+        "fractal tiles movies windows",
+        "record a window movie along a stage window",
+    )
     p.add_argument("generator", help="path to a .gen file")
     p.add_argument("system", help="path to a .tas file")
     p.add_argument("--stage", type=int, default=2, help="window stage (default 2)")
@@ -288,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--bond-forming", action="store_true", help="keep only bond-forming events"
     )
 
-    p = add("refute", cmd_refute, "search for a splice counterexample")
+    p = add("refute", cmd_refute, "fractal tiles refuter", "search for a splice counterexample")
     p.add_argument("generator", help="path to a .gen file")
     p.add_argument("system", help="path to a .tas file")
     p.add_argument("--scale", type=int, default=1, help="scale factor (default 1)")
@@ -301,7 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--max-steps", type=_step_budget, help="step budget")
 
-    p = add("render", cmd_render, "SVG of a stage with windows and glue lines")
+    p = add(
+        "render",
+        cmd_render,
+        "fractal render windows",
+        "SVG of a stage with windows and glue lines",
+    )
     p.add_argument("generator", help="path to a .gen file")
     p.add_argument("--stage", type=int, default=2, help="stage index (default 2)")
     p.add_argument("--scale", type=int, default=1, help="scale factor (default 1)")
@@ -316,7 +319,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    for module in _COMMAND_USES[args.command]:
+    for module in args.uses:
         _bind(module)
     if getattr(args, "max_steps", 0) is None:
         args.max_steps = DEFAULT_MAX_STEPS

@@ -6,9 +6,10 @@ pattern into itself yields the finite stages of a fractal; the infinite
 union of stages is a tree fractal exactly when the generator's grid graph
 is a tree and the pattern has one horizontal and one vertical bridge.
 
-This module also locates piers (cells free on exactly three sides),
-classifies them against the bridges, and picks the pier/anchor pair that
-the window machinery in :mod:`fractile.windows` is built around.
+This module also owns the ``.gen`` grid syntax, which it reads and writes,
+locates piers (cells free on exactly three sides), classifies them against
+the bridges, and picks the pier/anchor pair that the window machinery in
+:mod:`fractile.windows` is built around.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .grid import (
     is_tree,
     neighbors,
 )
-from .render import format_grid
 
 TAXONOMY_REAL = "real"
 TAXONOMY_PARALLEL = "parallel-single-bridge"
@@ -140,6 +140,15 @@ def parse_generator(text: str) -> Generator:
             elif ch != ".":
                 raise ValueError(f"line {i + 2}: bad cell {ch!r}")
     return Generator(g, frozenset(cells))
+
+
+def format_grid(points: Iterable[Point], side: int) -> str:
+    """Render a point set in the generator grid syntax at the given side."""
+    pts = set(points)
+    rows = [f"g={side}"]
+    for y in range(side - 1, -1, -1):
+        rows.append("".join("#" if (x, y) in pts else "." for x in range(side)))
+    return "\n".join(rows) + "\n"
 
 
 def format_generator(gen: Generator) -> str:
@@ -421,7 +430,9 @@ def select_pier_anchor(gen: Generator, pier: Optional[Point] = None) -> PierAnch
     Among the generator's piers, real ones are preferred, then parallel
     single-bridge, then orthogonal single-bridge; double-bridge piers are
     never selected.  Ties go to the smallest (x, y) position.  Passing
-    ``pier`` forces a specific pier instead.
+    ``pier`` forces a specific pier instead.  A tree-fractal generator has
+    at least two piers and at most one double-bridge pier, so the default
+    choice always exists (checked over sides 2-5).
 
     A real pier is its own anchor.  A single-bridge pier lies on the far
     edge of the square along a direction ``up``: its pointing direction if
@@ -455,7 +466,7 @@ def select_pier_anchor(gen: Generator, pier: Optional[Point] = None) -> PierAnch
             default=None,
         )
         if chosen is None:
-            raise ValueError("generator has no usable pier")
+            raise RuntimeError("tree-fractal generator has no usable pier")
 
     g, anchor = gen.g, chosen.position
     if chosen.taxonomy != TAXONOMY_REAL:

@@ -14,7 +14,6 @@ the (honest, resource-bounded) answer.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple, Optional, Union
 
 from .fractal import (
@@ -36,7 +35,6 @@ from .movies import (
     splice,
     submovie_matches,
 )
-from .stability import _sides
 from .tiles import (
     DEFAULT_MAX_STEPS,
     Assembly,
@@ -48,21 +46,6 @@ from .tiles import (
     run,
 )
 from .windows import WindowSpec, enclosure_margin, translation, window_inside
-
-
-def glue_line_bound(system: TileSystem, c: int) -> int:
-    """How many distinct glue-line configurations a length-c window side
-    admits: (distinct positive glues)^(2c) · (2c)!.
-
-    The 2c slots are the two ends of each of the c cut edges; orderings
-    count because movies are order-sensitive.  Searching one more window
-    than this bound guarantees a repeat by pigeonhole — in practice
-    repeats show up far earlier, and the stage budget caps the search.
-    """
-    if c < 1:
-        raise ValueError(f"scale factor must be >= 1, got {c}")
-    glues = {g for t in system.tiles for g in _sides(t) if g.strength > 0}
-    return len(glues) ** (2 * c) * math.factorial(2 * c)
 
 
 def alignment_offset(

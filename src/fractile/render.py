@@ -1,4 +1,4 @@
-"""Text and SVG renderings of point sets, windows, and glue lines.
+"""SVG renderings of point sets, windows, and glue lines.
 
 Renderings are for inspection: axis-aligned rectangles, one color per
 role (shape cell, window outline, glue-line marker), north up.  A cell
@@ -43,15 +43,6 @@ def check_cell_budget(side: int) -> None:
             f"rendering {side}x{side} cells exceeds the cap of {cap};"
             " try a smaller stage"
         )
-
-
-def format_grid(points: Iterable[Point], side: int) -> str:
-    """Render a point set in the generator grid syntax at the given side."""
-    pts = set(points)
-    rows = [f"g={side}"]
-    for y in range(side - 1, -1, -1):
-        rows.append("".join("#" if (x, y) in pts else "." for x in range(side)))
-    return "\n".join(rows) + "\n"
 
 
 def render_svg(

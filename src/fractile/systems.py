@@ -23,16 +23,15 @@ def tree_edge_system(
     gen: Generator,
     depth: int,
     pier_labels: str = PIER_LABELS_UNIFORM,
-    temperature: int = 1,
 ) -> TileSystem:
     """A tile system that assembles stage ``depth`` of the generator.
 
-    One tile type per cell, named t<x>x<y>, seeded at the origin.  Tree
-    edges carry per-edge glue labels at the given strength, so growth
-    follows the fractal's own adjacency.  The edges crossed by the pier
-    windows of stages 2..depth are relabeled per ``pier_labels``:
-    "uniform" gives them all the single label "pier", "staged" gives
-    stage s the label "pier<s>".
+    One tile type per cell, named t<x>x<y>, seeded at the origin, at
+    temperature 1.  Tree edges carry per-edge strength-1 glue labels, so
+    growth follows the fractal's own adjacency.  The edges crossed by the
+    pier windows of stages 2..depth are relabeled per ``pier_labels``:
+    "uniform" gives them all the single label "pier", "staged" gives stage
+    s the label "pier<s>".
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -52,10 +51,10 @@ def tree_edge_system(
         edge = frozenset((a, b))
         if edge in pier_edges:
             if pier_labels == PIER_LABELS_UNIFORM:
-                return Glue("pier", temperature)
-            return Glue(f"pier{pier_edges[edge]}", temperature)
+                return Glue("pier", 1)
+            return Glue(f"pier{pier_edges[edge]}", 1)
         lo, hi = sorted((a, b))
-        return Glue(f"e{lo[0]}x{lo[1]}-{hi[0]}x{hi[1]}", temperature)
+        return Glue(f"e{lo[0]}x{lo[1]}-{hi[0]}x{hi[1]}", 1)
 
     tiles = [
         TileType(
@@ -65,4 +64,4 @@ def tree_edge_system(
         for cell in sorted(points, key=lambda v: (v[1], v[0]))
     ]
     origin = next(t for t in tiles if t.name == "t0x0")
-    return TileSystem(tuple(tiles), Assembly({(0, 0): origin}), temperature)
+    return TileSystem(tuple(tiles), Assembly({(0, 0): origin}), 1)

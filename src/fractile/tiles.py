@@ -499,9 +499,10 @@ class StrictCheck(NamedTuple):
     """Outcome of a bounded strict self-assembly check.
 
     VIOLATION carries a witness cell where the system can grow off the
-    target, or a target cell that a terminal assembly leaves empty.
-    INCOMPLETE-OK means no off-target site appeared before the region or
-    the step limit cut the run short; it is evidence, never a proof.
+    target, in the region or clipped beyond it, or a target cell that a
+    terminal assembly leaves empty.  INCOMPLETE-OK means the region or the
+    step limit cut the run short before any off-target site appeared; it is
+    evidence, never a proof.
     """
 
     status: str
@@ -521,9 +522,11 @@ def check_strict_self_assembly(
 
     Every step checks the whole in-region frontier, so a violation is
     found as soon as any off-target attachment becomes possible, whether
-    or not the policy would have taken it.  A run that stops with no
-    attachment site in or beyond the region is terminal in the plane, so
-    if it misses target cells that is a violation too.
+    or not the policy would have taken it.  Once the run stops, the sites
+    the region clipped are checked too, and the first off the target in
+    row order is a violation.  A run that stops with no attachment site in
+    or beyond the region is terminal in the plane, so if it misses target
+    cells that is a violation too.
     """
     target_set = frozenset(target)
     for state in _grow(system, region, policy, max_steps):
@@ -536,11 +539,16 @@ def check_strict_self_assembly(
         if off is not None:
             detail = f"frontier site off target at {off} after {steps} steps"
             return StrictCheck(VERDICT_VIOLATION, off, detail, steps)
+    outside = state.outside
+    off = next((p for p, _ in outside if p not in target_set), None)
+    if off is not None:
+        detail = f"clipped site off target at {off} after {steps} steps"
+        return StrictCheck(VERDICT_VIOLATION, off, detail, steps)
     covered = f"covered {len(target_set & state.tiles.keys())}/{len(target_set)} target cells"
     if state.inside:
         detail = f"step limit reached; {covered}"
-    elif clipped := len(state.outside):
-        detail = f"region boundary reached; {clipped} sites clipped; {covered}"
+    elif outside:
+        detail = f"region boundary reached; {len(outside)} sites clipped; {covered}"
     else:
         detail = f"terminal; {covered}"
         missing = target_set - state.tiles.keys()

@@ -16,7 +16,7 @@ from fractile import (
     format_tile_system,
     tree_edge_system,
 )
-from fractile.cli import main
+from fractile.cli import build_parser, main
 
 SIERPINSKI_GEN = "g=2\n#.\n##\n"
 FULL2_GEN = "g=2\n##\n##\n"
@@ -422,6 +422,56 @@ class TestRender:
 class TestParser:
     def test_no_arguments(self, capsys):
         assert main([]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, defaults",
+        [
+            (["analyze", "a.gen"], {"generator": "a.gen"}),
+            (
+                ["stages", "a.gen"],
+                {"generator": "a.gen", "stage": 2, "scale": 1, "format": "text"},
+            ),
+            (
+                ["scale", "a.gen"],
+                {"generator": "a.gen", "stage": 1, "scale": 1, "format": "text"},
+            ),
+            (["census", "2"], {"g": 2, "allow_large": False}),
+            (
+                ["simulate", "s.tas"],
+                {"system": "s.tas", "region": None, "policy": "lex", "seed": 0, "max_steps": None},
+            ),
+            (
+                ["movie", "a.gen", "s.tas"],
+                {
+                    "generator": "a.gen",
+                    "system": "s.tas",
+                    "stage": 2,
+                    "scale": 1,
+                    "policy": "lex",
+                    "seed": 0,
+                    "max_steps": None,
+                    "bond_forming": False,
+                },
+            ),
+            (
+                ["refute", "a.gen", "s.tas"],
+                {
+                    "generator": "a.gen",
+                    "system": "s.tas",
+                    "scale": 1,
+                    "max_stage": 6,
+                    "seed": None,
+                    "max_steps": None,
+                },
+            ),
+            (["render", "a.gen"], {"generator": "a.gen", "stage": 2, "scale": 1}),
+        ],
+    )
+    def test_parsed_defaults(self, argv, defaults):
+        parsed = vars(build_parser().parse_args(argv))
+        parsed.pop("func")
+        parsed.pop("uses", None)
+        assert parsed == {"command": argv[0], "out": None, **defaults}
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2

@@ -15,6 +15,7 @@ from fractile import (
     DIRECTIONS,
     Direction,
     Generator,
+    TAXONOMY_DOUBLE,
     TAXONOMY_ORTHOGONAL,
     TAXONOMY_PARALLEL,
     TAXONOMY_REAL,
@@ -268,14 +269,22 @@ def test_real_pier_detection(real_pier_gen):
 
 
 def test_tree_fractal_generators_have_two_piers():
-    for g in (2, 3):
-        for gen in census(g).tree_fractal_generators:
-            assert len(piers(gen)) >= 2, format_generator(gen)
+    """A tree-fractal generator has at least two piers, and at most one of
+    them is a double-bridge pier, so select_pier_anchor always has a usable
+    one to choose."""
+    swept = 0
+    for g in (2, 3, 4):
+        for gen in census(g, allow_large=True).tree_fractal_generators:
+            kinds = [p.taxonomy for p in piers(gen)]
+            assert len(kinds) >= 2, format_generator(gen)
+            assert kinds.count(TAXONOMY_DOUBLE) <= 1, format_generator(gen)
+            swept += 1
+    assert swept == 227
 
 
 def test_no_double_bridge_piers_in_small_tree_fractals():
-    """Double-bridge piers force a second bridge, so none survive the
-    characterization; the selection rule never has to skip one."""
+    """Sides 2 and 3 have no double-bridge pier; side 4 is the first side
+    where the selection rule has to skip one."""
     for g in (2, 3):
         for gen in census(g).tree_fractal_generators:
             assert all(p.taxonomy != "double-bridge" for p in piers(gen))

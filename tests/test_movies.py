@@ -1,5 +1,9 @@
 """Tests for window movies, bond-forming submovies, and splicing."""
 
+import contextlib
+import io
+from pathlib import Path
+
 import pytest
 
 from fractile import (
@@ -259,3 +263,17 @@ class TestFormatMovie:
 
     def test_empty_movie_text(self, ribbon_run):
         assert format_movie(movie_at(ribbon_run, {(5, 5)})) == ""
+
+
+def test_readme_library_snippet_prints_its_comments():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    snippet = readme.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+    # the comment lines after the print are the movie it prints
+    printed = snippet.split("print(", 1)[1].split("\n", 1)[1]
+    expected = [line[2:] for line in printed.splitlines() if line.startswith("# ")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(snippet, "README.md", "exec"), {})
+    assert expected == ["2 2 0 N pier 1", "5 2 1 S pier 1"]
+    # format_movie ends its text with a newline, and print adds one more
+    assert out.getvalue() == "\n".join(expected) + "\n\n"

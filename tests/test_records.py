@@ -215,7 +215,8 @@ def test_cli_import_leaves_heavy_modules_unloaded():
 @pytest.mark.parametrize(
     "argv, unloaded",
     [
-        (["census", "2"], {"tiles", "movies", "refuter", "windows", "systems"}),
+        (["census", "2"], {"tiles", "movies", "refuter", "windows", "systems", "render"}),
+        (["analyze", "{gen}"], {"tiles", "movies", "refuter", "systems", "render"}),
         (
             ["simulate", "{tas}", "--region", "0,0,3,3"],
             {"fractal", "movies", "refuter", "windows", "systems", "render"},
@@ -225,7 +226,9 @@ def test_cli_import_leaves_heavy_modules_unloaded():
 def test_command_loads_only_its_modules(tmp_path, argv, unloaded):
     tas = tmp_path / "ribbon.tas"
     tas.write_text("temperature 1\ntile col N=n:1 E=-:0 S=n:1 W=-:0\nseed 0 0 col\n")
-    argv = [arg.format(tas=tas) for arg in argv] + ["--out", str(tmp_path / "out.txt")]
+    gen = tmp_path / "sierpinski.gen"
+    gen.write_text("g=2\n#.\n##\n")
+    argv = [arg.format(tas=tas, gen=gen) for arg in argv] + ["--out", str(tmp_path / "out.txt")]
     loaded = _new_modules(f"import fractile.cli\nassert fractile.cli.main({argv!r}) == 0")
     assert (tmp_path / "out.txt").read_text()
     assert "fractile.cli" in loaded

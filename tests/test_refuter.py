@@ -9,7 +9,6 @@ from fractile import (
     Box,
     Direction,
     Generator,
-    Glue,
     NoMatchReport,
     PIER_LABELS_STAGED,
     PIER_LABELS_UNIFORM,
@@ -17,14 +16,12 @@ from fractile import (
     SpliceCertificate,
     TAXONOMY_DOUBLE,
     TileSystem,
-    TileType,
     WindowSpec,
     boundary_contacts,
     census,
     enclosure_bound_ok,
     format_certificate,
     format_no_match,
-    glue_line_bound,
     piers,
     refute,
     replay,
@@ -82,37 +79,11 @@ class TestTreeEdgeSystem:
         assert {"pier2", "pier3", "pier4"} <= labels
         assert "pier" not in labels
 
-    def test_higher_temperature_still_grows(self, sierpinski):
-        system = tree_edge_system(sierpinski, 2, temperature=2)
-        assert system.temperature == 2
-        grown = run(system, Box(0, 0, 3, 3))
-        assert grown.result.domain == stage(sierpinski, 2)
-
     def test_validation(self, sierpinski):
         with pytest.raises(ValueError, match="depth must be >= 1"):
             tree_edge_system(sierpinski, 0)
         with pytest.raises(ValueError, match="unknown pier label scheme"):
             tree_edge_system(sierpinski, 2, "striped")
-
-
-class TestGlueLineBound:
-    def test_single_glue(self, ribbon_system):
-        # one positive glue, two slots on the single cut edge, 2! orders
-        assert glue_line_bound(ribbon_system, 1) == 2
-
-    def test_two_glues(self):
-        a = TileType("a", east=Glue("x", 1), north=Glue("y", 1))
-        system = TileSystem((a,), Assembly({(0, 0): a}), 1)
-        assert glue_line_bound(system, 1) == 8
-
-    def test_zero_strength_glues_do_not_count(self):
-        t = TileType("t", east=Glue("x", 1))
-        system = TileSystem((t,), Assembly({(0, 0): t}), 1)
-        assert glue_line_bound(system, 1) == 2
-
-    def test_scale_validation(self, ribbon_system):
-        with pytest.raises(ValueError, match="scale factor must be >= 1, got 0"):
-            glue_line_bound(ribbon_system, 0)
 
 
 class TestAlignmentOffset:

@@ -13,6 +13,7 @@ from fractile import (
     Box,
     Direction,
     DIRECTIONS,
+    Generator,
     Glue,
     LexicographicPolicy,
     NULL_GLUE,
@@ -577,12 +578,21 @@ class TestGrowthAgainstOracleLoop:
                 f"frontier site off target at {witness} after {len(events)} steps"
             )
             return
+        # once the run stops, the first clipped site off the target is a witness
+        clipped = oracle_clipped(system, placed, SMALL_BOX)
+        off = next((p for p, _ in clipped if p not in target), None)
+        if off is not None:
+            assert verdict.status == VERDICT_VIOLATION
+            assert verdict.witness == off
+            assert verdict.detail == f"clipped site off target at {off} after {len(events)} steps"
+            return
         covered = f"covered {len(target & placed.keys())}/{len(target)} target cells"
-        clipped = len(oracle_frontier(system, placed)) - len(sites)
         if sites:
             assert verdict.detail == f"step limit reached; {covered}"
         elif clipped:
-            assert verdict.detail == f"region boundary reached; {clipped} sites clipped; {covered}"
+            assert verdict.detail == (
+                f"region boundary reached; {len(clipped)} sites clipped; {covered}"
+            )
         else:
             # terminal in the plane: a missed target cell is a violation
             assert verdict.detail == f"terminal; {covered}"
@@ -984,8 +994,24 @@ class TestStrictCheck:
         assert verdict.witness == (5, 2)
         assert verdict.detail == "terminal; covered 71/81 target cells"
 
+    def test_clipped_site_off_target_is_a_violation(self):
+        # the run stays on target inside the region, but the region clips
+        # an off-target site below the bottom row
+        gen = Generator(4, {(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (2, 0), (2, 1), (3, 1)})
+        system = tree_edge_system(gen, 3, PIER_LABELS_UNIFORM)
+        verdict = check_strict_self_assembly(
+            system, stage(gen, 3), Box(0, 0, 63, 63), SeededUniformPolicy(1)
+        )
+        assert verdict == (
+            VERDICT_VIOLATION,
+            (10, -1),
+            "clipped site off target at (10, -1) after 511 steps",
+            511,
+        )
+
     def test_step_limit_reported(self):
-        target = {(x, y) for x in range(10) for y in range(10)}
+        # the target covers the ring around the region, so no clipped site is off it
+        target = {(x, y) for x in range(-1, 11) for y in range(-1, 11)}
         verdict = check_strict_self_assembly(
             all_glue_system(), target, Box(0, 0, 9, 9), max_steps=3
         )
