@@ -94,33 +94,36 @@ class Assembly(Mapping):
     """A nonempty, connected placement of tile types on the lattice.
 
     Behaves as an immutable mapping from points to tile types; iteration
-    order is row-major from the bottom-left for reproducible output.
+    order is row-major from the bottom-left for reproducible output,
+    established on first iteration.
 
-    The results of :func:`run` and :func:`replay` skip the connectivity
-    check: they grow from an assembly one attachment at a time, and every
-    attachment bonds with strength at least tau >= 1 to a placed tile, so
-    the domain stays connected.  Every other construction, and so every
-    assembly built from outside input, is checked.
+    The results of :func:`run`, :func:`replay` and :meth:`translate` skip
+    the connectivity check.  A translate of a connected domain is
+    connected, and the others grow from an assembly one attachment at a
+    time: every attachment bonds with strength at least tau >= 1 to a
+    placed tile, so the domain stays connected.  Every other construction,
+    and so every assembly built from outside input, is checked.
     """
 
-    __slots__ = ("_tiles", "_frontier")
+    __slots__ = ("_tiles", "_frontier", "_ordered")
 
-    def __init__(self, placements: Mapping[Point, TileType]):
-        tiles = _row_major(placements)
+    def __new__(cls, placements: Mapping[Point, TileType]) -> "Assembly":
+        tiles = dict(placements)
         if not tiles:
             raise ValueError("assembly must be nonempty")
-        if not is_connected(frozenset(tiles)):
+        if not is_connected(tiles):
             raise ValueError("assembly domain must be connected")
-        object.__setattr__(self, "_tiles", tiles)
-        object.__setattr__(self, "_frontier", None)
+        return cls._grown(tiles)
 
     @classmethod
-    def _grown(cls, placements: Mapping[Point, TileType], final=None) -> "Assembly":
-        """Placements grown from a checked assembly by attachments that
-        each reach tau, taken without the connectivity check."""
-        assembly = cls.__new__(cls)
-        object.__setattr__(assembly, "_tiles", _row_major(placements))
+    def _grown(cls, placements: dict[Point, TileType], final=None) -> "Assembly":
+        """Placements known to be connected: grown one bonded attachment
+        at a time, or a translate of a checked assembly.  The dict is kept,
+        not copied, and sorted when first iterated."""
+        assembly = object.__new__(cls)
+        object.__setattr__(assembly, "_tiles", placements)
         object.__setattr__(assembly, "_frontier", final)
+        object.__setattr__(assembly, "_ordered", False)
         return assembly
 
     def __setattr__(self, name, value):
@@ -130,13 +133,16 @@ class Assembly(Mapping):
         return self._tiles[p]
 
     def __iter__(self) -> Iterator[Point]:
+        if not self._ordered:
+            object.__setattr__(self, "_tiles", _row_major(self._tiles))
+            object.__setattr__(self, "_ordered", True)
         return iter(self._tiles)
 
     def __len__(self) -> int:
         return len(self._tiles)
 
     def __repr__(self) -> str:
-        return f"Assembly({len(self._tiles)} tiles)"
+        return f"Assembly({len(self)} tiles)"
 
     @property
     def domain(self) -> PointSet:
@@ -144,7 +150,7 @@ class Assembly(Mapping):
 
     def translate(self, vec: Point) -> "Assembly":
         dx, dy = vec
-        return Assembly({(x + dx, y + dy): t for (x, y), t in self._tiles.items()})
+        return Assembly._grown({(x + dx, y + dy): t for (x, y), t in self.items()})
 
 
 def _row_major(placements: Mapping[Point, TileType]) -> dict[Point, TileType]:
@@ -197,8 +203,7 @@ class TileSystem(
         if temperature < 1:
             raise ValueError(f"temperature must be >= 1, got {temperature}")
         tiles = tuple(tiles)
-        names = [t.name for t in tiles]
-        if len(set(names)) != len(names):
+        if len({t.name for t in tiles}) != len(tiles):
             raise ValueError("tile names must be unique")
         known = set(tiles)
         for p, t in seed.items():
@@ -562,10 +567,6 @@ def check_strict_self_assembly(
 # Tile-system files
 
 
-def _format_glue(g: Glue) -> str:
-    return f"{g.label}:{g.strength}"
-
-
 def _parse_int(token: str, what: str, lineno: int) -> int:
     try:
         return int(token)
@@ -647,7 +648,7 @@ def format_tile_system(system: TileSystem) -> str:
     """Inverse of :func:`parse_tile_system`; canonical output round-trips."""
     lines = [f"temperature {system.temperature}"]
     for t in system.tiles:
-        sides = (f"{d.name}={_format_glue(g)}" for d, g in zip(Direction, _sides(t)))
+        sides = (f"{d.name}={g.label}:{g.strength}" for d, g in zip(Direction, _sides(t)))
         lines.append(f"tile {t.name} " + " ".join(sides))
     for (x, y), t in system.seed.items():
         lines.append(f"seed {x} {y} {t.name}")

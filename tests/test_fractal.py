@@ -41,7 +41,7 @@ from fractile import (
 )
 from fractile.fractal import _origin_trees, bridge_counts
 from fractile.grid import connected_components, grid_edges, is_tree
-from conftest import HOOK4_CELLS, L_CELLS, REAL_PIER_CELLS, SIERPINSKI_CELLS
+from conftest import SIERPINSKI_CELLS
 
 U3_CELLS = frozenset({(0, 0), (1, 0), (2, 0), (0, 1), (2, 1), (0, 2), (2, 2)})
 

@@ -105,14 +105,20 @@ def test_growth_matches_golden_table():
 @pytest.mark.parametrize("g", (2, 3))
 def test_grown_results_equal_checked_assemblies(g):
     """``run`` and ``replay`` build their result without the connectivity
-    check; it must iterate exactly as the checked constructor's does."""
+    check and sort it only when first iterated; lookups must work before
+    that, and it must then iterate row-major, as the checked constructor's
+    does."""
     for gen, depth in product(census(g).tree_fractal_generators, (3, 4)):
         region = Box(0, 0, g**depth - 1, g**depth - 1)
         for labels in (PIER_LABELS_UNIFORM, PIER_LABELS_STAGED):
             system = tree_edge_system(gen, depth, labels)
             for name in ("lex", "seed1"):
                 seq = run(system, region, _policy(name))
+                last = seq.events[-1]
                 for grown in (seq.result, replay(system, seq.events)):
+                    assert len(grown) == len(seq.initial) + len(seq.events)
+                    assert last.position in grown and grown[last.position] == last.tile
+                    assert list(grown) == sorted(grown.domain, key=lambda p: (p[1], p[0]))
                     assert list(grown.items()) == list(Assembly(dict(grown)).items())
                     assert is_connected(grown.domain)
 

@@ -3,6 +3,7 @@
 import random
 import re
 import signal
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -946,6 +947,21 @@ class TestRunAndReplay:
         start = Assembly({(0, 2): col})
         grown = replay(ribbon_system, [SequenceEvent(1, (0, 3), col)], start=start)
         assert grown.domain == frozenset({(0, 2), (0, 3)})
+
+    def test_replay_peak_stays_near_its_result(self):
+        """A replayed 64x64 filler is not sorted until iterated, so the
+        transient peak (the dict's last resize) stays within twice what
+        the result retains."""
+        system = all_glue_system()
+        seq = run(system, Box(0, 0, 63, 63), SeededUniformPolicy(1))
+        tracemalloc.start()
+        try:
+            result = replay(system, seq.events)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result) == 64 * 64
+        assert peak <= 2 * retained, (peak, retained)
 
     def test_clipped_frontier_reports_boundary(self, ribbon_system, ribbon_region):
         seq = run(ribbon_system, ribbon_region)
