@@ -29,6 +29,7 @@ from .grid import (
     free_directions,
     is_tree,
     neighbors,
+    row_major,
 )
 
 TAXONOMY_REAL = "real"
@@ -251,7 +252,7 @@ def piers(gen: Generator) -> list[Pier]:
     """
     ends = _bridge_ends(gen.cells)
     out = []
-    for p in sorted(gen.cells, key=lambda q: (q[1], q[0])):
+    for p in row_major(gen.cells):
         free = free_directions(gen.cells, p)
         if len(free) != 3:
             continue

@@ -116,17 +116,22 @@ def is_tree(points: Iterable[Point]) -> bool:
     return is_connected(pts) and len(grid_edges(pts)) == len(pts) - 1
 
 
+def row_major(points: Iterable[Point]) -> list[Point]:
+    """The points row by row from the bottom, each from the left: the one report order."""
+    return sorted(points, key=lambda p: (p[1], p[0]))
+
+
 def free_directions(pts: set | frozenset, p: Point) -> tuple[Direction, ...]:
     return tuple(d for d, q in zip(DIRECTIONS, neighbors(p)) if q not in pts)
 
 
 def connected_components(points: Iterable[Point]) -> list[PointSet]:
-    """Connected components of the full grid graph, in order of their
-    smallest (y, x) member."""
+    """Connected components of the full grid graph, in the row order of
+    their first members."""
     pts = set(points)
     comps = []
     remaining = set(pts)
-    for start in sorted(pts, key=lambda p: (p[1], p[0])):
+    for start in row_major(pts):
         if start in remaining:
             comp = frozenset(_reach(start, pts))
             remaining -= comp

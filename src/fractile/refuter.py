@@ -25,7 +25,7 @@ from .fractal import (
     select_pier_anchor,
     stage,
 )
-from .grid import Direction, Point
+from .grid import Direction, Point, row_major
 from .movies import (
     WindowMovie,
     bond_forming,
@@ -131,9 +131,9 @@ def refute(cfg: RefutationConfig) -> Union[SpliceCertificate, NoMatchReport]:
 
     Stage pairs are tried smallest-first.  A pair is skipped when the
     starting assembly straddles a window or sits in only one, when its
-    submovies differ under the computed shift, when the two window
+    submovies differ under the computed shift, or when the two window
     interiors are identical as configurations (the transplant would be
-    vacuous), or when the transplant reproduces the target exactly.
+    vacuous).
     """
     gen = cfg.generator
     ok, diagnosis = is_tree_fractal_generator(gen)
@@ -189,12 +189,9 @@ def refute(cfg: RefutationConfig) -> Union[SpliceCertificate, NoMatchReport]:
                 notes.append(f"{label}: identical window interiors, transplant is vacuous")
                 continue
             spliced = splice(seq, insides[i_stage], insides[j_stage], c_vec)
-            diff = tuple(
-                sorted(spliced.result.domain ^ target, key=lambda v: (v[1], v[0]))
-            )
-            if not diff:
-                notes.append(f"{label}: transplanted assembly still matches the target")
-                continue
+            # never empty: the result meets w_j only in the smaller square w_i + c_vec,
+            # which misses a row of w_j, and the target's stage-(j-2) copy meets every row
+            diff = tuple(row_major(spliced.result.domain ^ target))
             return SpliceCertificate(
                 config=cfg,
                 pier_anchor=anchor,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from typing import Iterable, Sequence
 
-from .grid import Point
+from .grid import Point, row_major
 
 CELL_CAP_ENV = "FRACTILE_CELL_CAP"
 DEFAULT_CELL_CAP = 262_144  # 512x512
@@ -61,7 +61,7 @@ def render_svg(
     # (x, y, width, height, attributes) of each rect, in drawing order
     rects = [
         (x * _UNIT, (side - 1 - y) * _UNIT, _UNIT, _UNIT, _CELL)
-        for (x, y) in sorted(points, key=lambda v: (v[1], v[0]))
+        for (x, y) in row_major(points)
     ]
     for window in windows:
         xs = [x for x, _ in window]

@@ -11,7 +11,7 @@ can.
 from __future__ import annotations
 
 from .fractal import Generator, select_pier_anchor, stage
-from .grid import Point, neighbors
+from .grid import Point, neighbors, row_major
 from .tiles import NULL_GLUE, Assembly, Glue, TileSystem, TileType
 from .windows import WindowSpec, boundary_contacts, window_inside
 
@@ -61,7 +61,7 @@ def tree_edge_system(
             f"t{cell[0]}x{cell[1]}",
             *(edge_glue(cell, nb) if nb in points else NULL_GLUE for nb in neighbors(cell)),
         )
-        for cell in sorted(points, key=lambda v: (v[1], v[0]))
+        for cell in row_major(points)
     ]
     origin = next(t for t in tiles if t.name == "t0x0")
     return TileSystem(tuple(tiles), Assembly({(0, 0): origin}), 1)

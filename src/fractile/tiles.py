@@ -33,7 +33,7 @@ from bisect import bisect_left
 from collections.abc import Mapping
 from typing import Container, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .grid import Direction, Point, PointSet, is_connected, neighbors
+from .grid import Direction, Point, PointSet, is_connected, neighbors, row_major
 from .stability import _sides, glues_bind, is_tau_stable
 
 DEFAULT_MAX_STEPS = 100_000
@@ -129,12 +129,16 @@ class Assembly(Mapping):
     def __setattr__(self, name, value):
         raise AttributeError("assemblies are immutable")
 
+    def __reduce__(self):
+        # the kept frontier is matched by object identity, so copies drop it
+        return (Assembly, (dict(self._tiles),))
+
     def __getitem__(self, p: Point) -> TileType:
         return self._tiles[p]
 
     def __iter__(self) -> Iterator[Point]:
         if not self._ordered:
-            object.__setattr__(self, "_tiles", _row_major(self._tiles))
+            object.__setattr__(self, "_tiles", {p: self._tiles[p] for p in row_major(self._tiles)})
             object.__setattr__(self, "_ordered", True)
         return iter(self._tiles)
 
@@ -151,15 +155,6 @@ class Assembly(Mapping):
     def translate(self, vec: Point) -> "Assembly":
         dx, dy = vec
         return Assembly._grown({(x + dx, y + dy): t for (x, y), t in self.items()})
-
-
-def _row_major(placements: Mapping[Point, TileType]) -> dict[Point, TileType]:
-    """The placements by row, then column.  A row's points share y, so
-    they sort by x as plain tuples, with no key function."""
-    rows: dict[int, list[Point]] = {}
-    for p in placements:
-        rows.setdefault(p[1], []).append(p)
-    return {p: placements[p] for y in sorted(rows) for p in sorted(rows[y])}
 
 
 class Box(NamedTuple("Box", [("x0", int), ("y0", int), ("x1", int), ("y1", int)])):
@@ -401,8 +396,8 @@ class _Frontier:
     def outside(self) -> list[tuple[Point, TileType]]:
         if self.region is None:
             return []
-        beyond = sorted((y, x) for x, y in self.sites if (x, y) not in self.region)
-        return [((x, y), t) for y, x in beyond for t in self.sites[x, y]]
+        beyond = row_major(p for p in self.sites if p not in self.region)
+        return [(p, t) for p in beyond for t in self.sites[p]]
 
 
 def _grow(
@@ -558,7 +553,7 @@ def check_strict_self_assembly(
         detail = f"terminal; {covered}"
         missing = target_set - state.tiles.keys()
         if missing:
-            witness = min(missing, key=lambda p: (p[1], p[0]))
+            witness = row_major(missing)[0]
             return StrictCheck(VERDICT_VIOLATION, witness, detail, steps)
     return StrictCheck(VERDICT_INCOMPLETE_OK, None, detail, steps)
 

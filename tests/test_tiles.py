@@ -1,5 +1,7 @@
 """Tests for tile systems, stability, frontiers, runs, and the .tas format."""
 
+import copy
+import pickle
 import random
 import re
 import signal
@@ -38,7 +40,7 @@ from fractile import (
     stage,
     tree_edge_system,
 )
-from fractile.tiles import _Frontier, _grow, _row_major, attachment_strength, glues_bind
+from fractile.tiles import _Frontier, _grow, attachment_strength, glues_bind
 
 # ---------------------------------------------------------------------------
 # Oracles: exhaustive cut enumeration, and frontier by definition.
@@ -288,6 +290,21 @@ class TestAssembly:
         t = TileType("t")
         asm = Assembly({(0, 0): t, (1, 0): t}).translate((3, -2))
         assert asm.domain == frozenset({(3, -2), (4, -2)})
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_and_pickles(self, clone):
+        system = all_glue_system()
+        seq = run(system, Box(0, 0, 2, 2), SeededUniformPolicy(1))
+        row_order = sorted(seq.result.domain, key=lambda p: (p[1], p[0]))
+        for original in (seq.result, system, seq):
+            assert clone(original) == original
+        assert list(clone(seq.result)) == row_order
+        assert list(clone(seq).result) == row_order
+        assert list(clone(system).seed) == [(0, 0)]
 
 
 class TestBox:
@@ -746,8 +763,8 @@ class TestCrossings:
 @given(st.sets(st.tuples(st.integers(-6, 6), st.integers(-6, 6))))
 def test_row_major_matches_a_keyed_sort(points):
     placements = {p: i for i, p in enumerate(points)}
-    expected = dict(sorted(placements.items(), key=lambda kv: (kv[0][1], kv[0][0])))
-    assert list(_row_major(placements).items()) == list(expected.items())
+    expected = sorted(placements.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+    assert list(Assembly._grown(placements).items()) == expected
 
 
 @pytest.fixture
