@@ -152,6 +152,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     lines.append(f"tiles: {len(seq.result)}")
     # run stops short of its budget only once no site in the region is open
     at_limit = len(seq.events) == args.max_steps
+    # perfbench's traced pass counts open and clipped sites through these two calls
     open_sites = frontier(system, seq.result, region) if at_limit else ()
     clipped = clipped_frontier(system, seq.result, region) if region and not open_sites else ()
     if open_sites:

@@ -1,20 +1,17 @@
 """SVG renderings of point sets, windows, and glue lines.
 
 Renderings are for inspection: axis-aligned rectangles, one color per
-role (shape cell, window outline, glue-line marker), north up.  A cell
-cap, overridable through the FRACTILE_CELL_CAP environment variable,
-keeps accidental stage-9 requests from producing gigabyte files.
+role (shape cell, window outline, glue-line marker), north up.  A fixed
+cell cap keeps accidental stage-9 requests from producing gigabyte files.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Sequence
 
 from .grid import Point, row_major
 
-CELL_CAP_ENV = "FRACTILE_CELL_CAP"
-DEFAULT_CELL_CAP = 262_144  # 512x512
+CELL_CAP = 262_144  # 512x512
 
 _UNIT = 10  # SVG user units per cell
 # the attributes of each role's rects
@@ -23,24 +20,10 @@ _WINDOW = f'class="window" fill="none" stroke="#c2471d" stroke-width="{_UNIT / 5
 _GLUE = 'class="glue" fill="#2c8a4b"'
 
 
-def cell_cap() -> int:
-    raw = os.environ.get(CELL_CAP_ENV)
-    if raw is None:
-        return DEFAULT_CELL_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"bad {CELL_CAP_ENV} value: {raw!r}") from None
-    if cap < 1:
-        raise ValueError(f"bad {CELL_CAP_ENV} value: {raw!r}")
-    return cap
-
-
 def check_cell_budget(side: int) -> None:
-    cap = cell_cap()
-    if side * side > cap:
+    if side * side > CELL_CAP:
         raise ValueError(
-            f"rendering {side}x{side} cells exceeds the cap of {cap};"
+            f"rendering {side}x{side} cells exceeds the cap of {CELL_CAP};"
             " try a smaller stage"
         )
 

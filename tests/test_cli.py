@@ -139,12 +139,15 @@ class TestStagesAndScale:
                     assert main(["stages", str(files / name), "--stage", "1", *tail]) == 0
                     assert capsys.readouterr() == scaled, (name, factor, fmt)
 
-    def test_cell_cap(self, files, capsys, monkeypatch):
-        monkeypatch.setenv("FRACTILE_CELL_CAP", "10")
-        assert main(["stages", str(files / "sierpinski.gen"), "--stage", "2"]) == 2
-        assert (
-            "error: rendering 4x4 cells exceeds the cap of 10; try a smaller stage"
-            in capsys.readouterr().err
+    def test_cell_cap(self, files, capsys):
+        gen = str(files / "sierpinski.gen")
+        assert main(["stages", gen, "--stage", "9"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[0] == "g=512"
+        assert len(rows[1:]) == 512
+        assert main(["stages", gen, "--stage", "10"]) == 2
+        assert capsys.readouterr().err == (
+            "error: rendering 1024x1024 cells exceeds the cap of 262144; try a smaller stage\n"
         )
 
     @pytest.mark.parametrize(
@@ -155,7 +158,6 @@ class TestStagesAndScale:
         def refuse(*args):
             raise RuntimeError("built the points before checking the cap")
 
-        monkeypatch.delenv("FRACTILE_CELL_CAP", raising=False)
         monkeypatch.setattr("fractile.cli.stage", refuse)
         monkeypatch.setattr("fractile.cli.scale", refuse)
         argv = [argv[0], str(files / "sierpinski.gen"), *argv[1:]]
