@@ -12,14 +12,11 @@ regions stand in for the infinite plane: attachment sites outside the
 region are reported at the end of a run, never silently dropped.
 
 One growth engine serves runs, frontier queries and the strict check.  It
-keeps the frontier incrementally: every empty site next to the assembly
-keeps, per tile type, the total strength its placed neighbours' glues
-offer that type.  A placement adds its outward glues to the totals of its
-empty neighbours.  Glues are positive, so totals only grow, and a site
-re-derives which tile types reach the temperature only when one of its
-totals crosses it.  Bisection keeps the frontier sorted by row, column and
-tile name, so no step re-sorts it.  A run's result keeps its final
-frontier and answers its own frontier queries with it.
+keeps the frontier incrementally, by per-site totals (see ``_Frontier``),
+and sorted by row, column and tile name, so no step re-sorts it.  A run's
+result keeps its final frontier and answers its own frontier queries with
+it.  Given a target, it stops at the first site off it, which the strict
+check reads.
 
 Records are named tuples.  Those that check their input (``Glue``,
 ``TileType``, ``Box``, ``TileSystem``) do so in ``__new__``, which the
@@ -85,9 +82,6 @@ class TileType(
         if name.split() != [name]:
             raise ValueError(f"bad tile name: {name!r}")
         return super().__new__(cls, name, north, east, south, west)
-
-    def glue(self, side: Direction) -> Glue:
-        return _sides(self)[side]
 
 
 class Assembly(Mapping):
@@ -307,7 +301,8 @@ class _Frontier:
     each to its tile types in name order, and ``inside`` lists those in
     the region as (position, tile) pairs sorted by row, column, tile name.
     Nothing is placed beyond the region, so ``outside`` sorts those pairs
-    only when asked.
+    only when asked.  Given a target, ``off`` lists the seed tiles off it
+    in row order, then each in-region site off it, once, when it opens.
 
     ``_totals`` maps every empty site next to a placed tile to the
     strength each tile type would bond with there, summed over the placed
@@ -321,10 +316,16 @@ class _Frontier:
     hash faster than ``TileType`` and ``Glue``."""
 
     def __init__(
-        self, system: TileSystem, tiles: dict[Point, TileType], region: Optional[Container[Point]]
+        self,
+        system: TileSystem,
+        tiles: dict[Point, TileType],
+        region: Optional[Container[Point]],
+        target=None,
     ):
         self.tiles = tiles
         self.region = region
+        self.target = target
+        self.off = [] if target is None else row_major(p for p in tiles if p not in target)
         self.temperature = system.temperature
         self.events: list[SequenceEvent] = []
         self.sites: dict[Point, tuple[TileType, ...]] = {}
@@ -353,7 +354,7 @@ class _Frontier:
     def _offer(self, p: Point, tile: TileType) -> None:
         """Add the placed tile's outward glues to its empty neighbours'
         totals, and re-derive each neighbour where one crosses tau."""
-        tiles, all_totals, tau = self.tiles, self._totals, self.temperature
+        tiles, all_totals, tau, target = self.tiles, self._totals, self.temperature, self.target
         x, y = p
         for dx, dy, strength, names in self._binders[tile.name]:
             q = (x + dx, y + dy)
@@ -377,6 +378,8 @@ class _Frontier:
                 crossed.sort()
                 self.sites[q] = tuple(self._by_name[name] for name in crossed)
                 continue
+            if not old and target is not None and q not in target:
+                self.off.append(q)
             # q's pairs share (y, x), so they form one run in inside
             inside, keys, key = self.inside, self._keys, (q[1], q[0])
             at = bisect_left(keys, key)
@@ -401,9 +404,9 @@ class _Frontier:
 
 
 def _grow(
-    system: TileSystem, region: Optional[Container[Point]], policy, max_steps: int
-) -> Iterator[_Frontier]:
-    """Yield the state before each step and once after the last."""
+    system: TileSystem, region: Optional[Container[Point]], policy, max_steps: int, target=None
+) -> _Frontier:
+    """Grow until nothing attaches in the region, the budget is spent or ``off`` is nonempty."""
     if max_steps < 0:
         raise ValueError(f"max_steps must be >= 0, got {max_steps}")
     tiles = dict(system.seed)
@@ -411,12 +414,11 @@ def _grow(
         raise ValueError("seed outside region")
     if policy is None:
         policy = LexicographicPolicy()
-    state = _Frontier(system, tiles, region)
+    state = _Frontier(system, tiles, region, target)
     events, sites, inside, keys = state.events, state.sites, state.inside, state._keys
     totals, offer = state._totals, state._offer
     choose, record, new = policy.choose, events.append, tuple.__new__
-    yield state
-    while inside and len(events) < max_steps:
+    while inside and len(events) < max_steps and not state.off:
         p, tile = choose(inside)
         tiles[p] = tile
         # tuple.__new__ skips the named tuple's Python-level __new__
@@ -426,7 +428,7 @@ def _grow(
         end = at + len(sites.pop(p))
         del inside[at:end], keys[at:end]
         offer(p, tile)
-        yield state
+    return state
 
 
 def _sites(system: TileSystem, assembly: Mapping[Point, TileType], region) -> tuple[tuple, tuple]:
@@ -483,8 +485,7 @@ def run(
     boundary cut off; on the result, with this system and a region that is
     None or a ``Box``, that and :func:`frontier` cost nothing.
     """
-    for state in _grow(system, region, policy, max_steps):
-        pass
+    state = _grow(system, region, policy, max_steps)
     final = None
     if region is None or isinstance(region, Box):
         final = (system, region, tuple(state.inside), tuple(state.outside))
@@ -520,25 +521,23 @@ def check_strict_self_assembly(
 ) -> StrictCheck:
     """Run the system and watch for any chance to leave the target shape.
 
-    Every step checks the whole in-region frontier, so a violation is
-    found as soon as any off-target attachment becomes possible, whether
-    or not the policy would have taken it.  Once the run stops, the sites
-    the region clipped are checked too, and the first off the target in
-    row order is a violation.  A run that stops with no attachment site in
-    or beyond the region is terminal in the plane, so if it misses target
-    cells that is a violation too.
+    Growth stops at the first step that opens an in-region site off the
+    target, whether or not the policy would take it, and the first such
+    site in row order is the witness; failing that, so is the first
+    clipped site off it.  A run that stops with no site in or beyond the
+    region is terminal in the plane, so a missed target cell is one too.
     """
     target_set = frozenset(target)
-    for state in _grow(system, region, policy, max_steps):
-        steps = len(state.events)
-        # only the seed (iterated row-major) needs checking: later tiles land on checked sites
-        off = next((p for p in state.tiles if p not in target_set), None) if steps == 0 else None
-        if off is not None:
+    state = _grow(system, region, policy, max_steps, target_set)
+    steps = len(state.events)
+    if state.off:
+        # seed tiles come first; later entries all opened at the last step
+        off = state.off[0]
+        if off in state.tiles:
             return StrictCheck(VERDICT_VIOLATION, off, f"seed tile off target at {off}", 0)
-        off = next((p for p, _ in state.inside if p not in target_set), None)
-        if off is not None:
-            detail = f"frontier site off target at {off} after {steps} steps"
-            return StrictCheck(VERDICT_VIOLATION, off, detail, steps)
+        off = row_major(state.off)[0]
+        detail = f"frontier site off target at {off} after {steps} steps"
+        return StrictCheck(VERDICT_VIOLATION, off, detail, steps)
     outside = state.outside
     off = next((p for p, _ in outside if p not in target_set), None)
     if off is not None:
@@ -553,8 +552,7 @@ def check_strict_self_assembly(
         detail = f"terminal; {covered}"
         missing = target_set - state.tiles.keys()
         if missing:
-            witness = row_major(missing)[0]
-            return StrictCheck(VERDICT_VIOLATION, witness, detail, steps)
+            return StrictCheck(VERDICT_VIOLATION, row_major(missing)[0], detail, steps)
     return StrictCheck(VERDICT_INCOMPLETE_OK, None, detail, steps)
 
 

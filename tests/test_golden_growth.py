@@ -5,7 +5,9 @@ staged pier labels, under the lexicographic policy and seeded-uniform
 seeds 0-9, is grown in its bounding square and in the lower half of it.
 Each case records the sha256 of the ``simulate``-style event lines and the
 frontier and clipped-frontier sizes of the final assembly.  At depth 3 the
-same systems also go through ``check_strict_self_assembly``.
+same systems also go through ``check_strict_self_assembly``: in the square
+and in the half at the default step budget, and in the square at a budget
+of 8 steps, so the region-boundary and step-limit verdicts have rows too.
 
 The table in ``data/growth_golden.txt`` was produced by the growth loops
 this engine replaced, so any change in event order, frontier contents or
@@ -25,6 +27,7 @@ from pathlib import Path
 import pytest
 
 from fractile import (
+    DEFAULT_MAX_STEPS,
     PIER_LABELS_STAGED,
     PIER_LABELS_UNIFORM,
     Assembly,
@@ -44,6 +47,13 @@ from fractile import (
 
 GOLDEN = Path(__file__).with_name("data") / "growth_golden.txt"
 POLICIES = ("lex",) + tuple(f"seed{s}" for s in range(10))
+# (row tag, region, step budget) of each strict check; the untagged rows,
+# in the bounding square at the default budget, are the table's oldest
+STRICT_CHECKS = (
+    ("", "square", DEFAULT_MAX_STEPS),
+    (" half", "half", DEFAULT_MAX_STEPS),
+    (" square max_steps=8", "square", 8),
+)
 
 
 def _policy(name: str):
@@ -88,13 +98,14 @@ def generator_lines(key: str, gen):
                         f" sha256={_event_digest(seq)}"
                     )
                 if depth == 3:
-                    check = check_strict_self_assembly(
-                        system, target, regions["square"], _policy(name)
-                    )
-                    yield (
-                        f"strict {case} {check.status} witness={check.witness}"
-                        f" steps={check.steps} detail={check.detail}"
-                    )
+                    for tag, region_name, max_steps in STRICT_CHECKS:
+                        check = check_strict_self_assembly(
+                            system, target, regions[region_name], _policy(name), max_steps
+                        )
+                        yield (
+                            f"strict {case}{tag} {check.status} witness={check.witness}"
+                            f" steps={check.steps} detail={check.detail}"
+                        )
 
 
 def test_growth_matches_golden_table():

@@ -86,7 +86,7 @@ def test_one_side_numbering():
     for d in Direction:
         assert DIRECTIONS[d] is d
         assert d.inverse() is DIRECTIONS[d ^ 2]
-        assert t.glue(d) == _sides(t)[d]
+        assert _sides(t)[d].label == d.name.lower()
         for p in [(0, 0), (2, 5), (-3, 4)]:
             assert d(p) == neighbors(p)[d]
 

@@ -40,7 +40,8 @@ from fractile import (
     stage,
     tree_edge_system,
 )
-from fractile.tiles import _Frontier, _grow, attachment_strength, glues_bind
+from fractile.stability import _sides
+from fractile.tiles import _Frontier, _grow, attachment_strength, glues_bind, row_major
 
 # ---------------------------------------------------------------------------
 # Oracles: exhaustive cut enumeration, and frontier by definition.
@@ -58,7 +59,7 @@ def bond_edges(placed):
         for d in (Direction.N, Direction.E):
             q = d(p)
             if q in placed:
-                w = glues_bind(placed[p].glue(d), placed[q].glue(d.inverse()))
+                w = glues_bind(_sides(placed[p])[d], _sides(placed[q])[d.inverse()])
                 if w:
                     out.append((p, q, w))
     return out
@@ -244,10 +245,10 @@ class TestGlue:
 class TestTileType:
     def test_side_accessor(self):
         t = TileType("t", north=Glue("n", 1), east=Glue("e", 2))
-        assert t.glue(Direction.N) == Glue("n", 1)
-        assert t.glue(Direction.E) == Glue("e", 2)
-        assert t.glue(Direction.S) == NULL_GLUE
-        assert t.glue(Direction.W) == NULL_GLUE
+        assert _sides(t)[Direction.N] == Glue("n", 1)
+        assert _sides(t)[Direction.E] == Glue("e", 2)
+        assert _sides(t)[Direction.S] == NULL_GLUE
+        assert _sides(t)[Direction.W] == NULL_GLUE
 
     def test_bad_names(self):
         for name in ("", "a b"):
@@ -634,20 +635,42 @@ def random_system_with_twin(rng):
 GROWTH_REGIONS = (None, SMALL_BOX, Box(-2, -1, 2, 2))
 
 
+def grow_prefixes(system, region, seed, k, target=None):
+    """The states a run passes through: ``_grow`` at budgets 0..k, each
+    with a fresh policy, up to the first state that growth stops in short
+    of its budget."""
+    states = []
+    for budget in range(k + 1):
+        state = _grow(system, region, make_policy(seed), budget, target)
+        states.append(state)
+        if not state.inside or state.off:
+            break
+    return states
+
+
 class TestKeptOrder:
     """The engine keeps its frontier lists sorted incrementally; at every
     state a run passes through they must equal a fresh sort of its site
-    map, and the site map must equal one built from scratch."""
+    map, and the site map must equal one built from scratch.  Given a
+    target, ``off`` holds exactly the seed tiles off it, in row order, and
+    the in-region sites off it; growth stops as soon as it is nonempty."""
 
     @settings(max_examples=100, deadline=None)
     @given(
         st.randoms(use_true_random=False),
         st.sampled_from((None, 0, 1)),
         st.sampled_from(GROWTH_REGIONS),
+        st.booleans(),
     )
-    def test_lists_match_a_fresh_sort(self, rng, seed, region):
+    def test_lists_match_a_fresh_sort(self, rng, seed, region, targeted):
         system = random_system_with_twin(rng)
-        for state in _grow(system, region, make_policy(seed), 12):
+        target = None
+        if targeted:
+            cells = [(x, y) for y in range(-2, 4) for x in range(-3, 4)]
+            density = rng.choice((0.5, 0.9))
+            target = {p for p in cells if rng.random() < density}
+        states = grow_prefixes(system, region, seed, 12, target)
+        for k, state in enumerate(states):
             pairs = sorted(
                 ((p, t) for p, tiles in state.sites.items() for t in tiles),
                 key=lambda s: (s[0][1], s[0][0], s[1].name),
@@ -656,6 +679,17 @@ class TestKeptOrder:
             assert state.inside == inside
             assert state.outside == [s for s in pairs if s not in inside]
             assert state.sites == _Frontier(system, dict(state.tiles), region).sites
+            if target is None:
+                assert state.off == []
+                continue
+            seed_off = row_major(p for p in system.seed if p not in target)
+            sites_off = {p for p, _ in inside if p not in target}
+            assert state.off[: len(seed_off)] == seed_off
+            assert sorted(state.off[len(seed_off) :]) == sorted(sites_off)
+            if state.off:
+                assert k == len(states) - 1
+                more = _grow(system, region, make_policy(seed), k + 1, target)
+                assert len(more.events) == k
 
 
 def oracle_sites(system, placed):
@@ -682,7 +716,7 @@ class TestSiteTotals:
     )
     def test_sites_match_attachment_strength(self, rng, seed, region):
         system = random_system_with_twin(rng)
-        for state in _grow(system, region, make_policy(seed), 12):
+        for state in grow_prefixes(system, region, seed, 12):
             expected = oracle_sites(system, state.tiles)
             assert state.sites == expected
             assert _Frontier(system, dict(state.tiles), region).sites == expected
@@ -698,7 +732,7 @@ def grow_states(system, region):
             list(state.outside),
             {p: dict(t) for p, t in state._totals.items()},
         )
-        for state in _grow(system, region, LexicographicPolicy(), 10)
+        for state in grow_prefixes(system, region, None, 10)
     ]
 
 
