@@ -560,6 +560,10 @@ def check_strict_self_assembly(
 # Tile-system files
 
 
+#: ``.tas`` side letters to side indices.
+_SIDE_INDEX = {d.name: d.value for d in Direction}
+
+
 def _parse_int(token: str, what: str, lineno: int) -> int:
     try:
         return int(token)
@@ -583,19 +587,22 @@ def parse_tile_system(text: str) -> TileSystem:
 
     Directives: ``temperature <t>``, ``tile <name> N=<glue> E=<glue>
     S=<glue> W=<glue>`` with glues written ``label:strength`` (``-:0`` for
-    the null glue), and one ``seed <x> <y> <name>`` per seed tile.  Blank
-    lines and ``#`` comments are skipped.
+    the null glue), and one ``seed <x> <y> <name>`` per seed tile.  Only
+    blank lines and whole-line ``#`` comments are skipped; a trailing
+    ``# ...`` on a directive line is an error.
     """
     temperature: Optional[int] = None
     tile_list: list[TileType] = []
     by_name: dict[str, TileType] = {}
     seed_placements: dict[Point, TileType] = {}
+    # one Glue per distinct token: a token reaches the cache only once it
+    # has parsed and passed Glue's checks on some line
+    glues: dict[str, Glue] = {}
 
     for lineno, raw in enumerate(text.split("\n"), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = line.split()
         kind = tokens[0]
         if kind == "temperature":
             if temperature is not None:
@@ -603,19 +610,25 @@ def parse_tile_system(text: str) -> TileSystem:
             if len(tokens) != 2:
                 raise ValueError(f"line {lineno}: expected 'temperature <t>'")
             temperature = _parse_int(tokens[1], "temperature", lineno)
+            if temperature < 1:
+                raise ValueError(f"line {lineno}: temperature must be >= 1, got {temperature}")
         elif kind == "tile":
             if len(tokens) != 6:
                 raise ValueError(f"line {lineno}: expected 'tile <name> N=.. E=.. S=.. W=..'")
             name = tokens[1]
             if name in by_name:
                 raise ValueError(f"line {lineno}: duplicate tile {name!r}")
-            glues = {}
+            sides: list[Optional[Glue]] = [None] * 4
             for token in tokens[2:]:
                 side, sep, rest = token.partition("=")
-                if not sep or side not in Direction.__members__ or side in glues:
+                d = _SIDE_INDEX.get(side)
+                if not sep or d is None or sides[d] is not None:
                     raise ValueError(f"line {lineno}: bad side assignment {token!r}")
-                glues[side] = _parse_glue(rest, lineno)
-            tile = TileType(name, *(glues[d.name] for d in Direction))
+                glue = glues.get(rest)
+                if glue is None:
+                    glue = glues[rest] = _parse_glue(rest, lineno)
+                sides[d] = glue
+            tile = TileType(name, *sides)
             tile_list.append(tile)
             by_name[name] = tile
         elif kind == "seed":

@@ -1132,7 +1132,42 @@ class TestTasFormat:
             (RIBBON_TEXT + "seed 0 0 col", "line 6: duplicate seed position"),
             ("tile t N=-:0 E=-:0 S=-:0 W=-:0\nseed 0 0 t", "missing temperature"),
             ("temperature 1\ntile t N=-:0 E=-:0 S=-:0 W=-:0", "missing seed"),
+            (
+                "temperature 1\ntile t N=a:1 N=b:1 S=-:0 W=-:0",
+                "line 2: bad side assignment 'N=b:1'",
+            ),
+            (
+                "temperature 1\ntile t N=-:0 E=-:0 S=-:0 W=-:0\ntile t N=-:0 E=-:0 S=-:0 W=-:0",
+                "line 3: duplicate tile 't'",
+            ),
+            ("temperature 1\ntile t N=a=b:1 E=-:0 S=-:0 W=-:0", "line 2: bad glue label: 'a=b'"),
+            (
+                "temperature 1\ntile t N=a:-1 E=-:0 S=-:0 W=-:0",
+                "line 2: glue strength must be >= 0, got -1",
+            ),
+            (
+                "temperature 1\ntile t N=-:1 E=-:0 S=-:0 W=-:0",
+                "line 2: the null label '-' cannot carry positive strength",
+            ),
+            ("temperature 1\ntile t N=:1 E=-:0 S=-:0 W=-:0", "line 2: bad glue ':1'"),
+            # a label parsed on line 2 is no excuse for a bad strength on line 3
+            (
+                "temperature 1\ntile t N=a:1 E=-:0 S=-:0 W=-:0\ntile u N=a:x E=-:0 S=-:0 W=-:0",
+                "line 3: bad glue strength 'x'",
+            ),
+            (
+                "temperature 1\ntile t N=-:0 E=-:0 S=-:0 W=-:0 # note",
+                "line 2: expected 'tile <name> N=.. E=.. S=.. W=..'",
+            ),
+            ("temperature 0\nseed 0 0 t", "line 1: temperature must be >= 1, got 0"),
         ]
         for text, message in cases:
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(ValueError, match=re.escape(message)):
                 parse_tile_system(text)
+
+    def test_one_glue_object_per_token(self, sierpinski):
+        system = parse_tile_system(format_tile_system(tree_edge_system(sierpinski, 3)))
+        tile = {t.name: t for t in system.tiles}
+        assert tile["t0x0"].east is tile["t1x0"].west
+        glues = [g for t in system.tiles for g in _sides(t)]
+        assert len({id(g) for g in glues}) == len(set(glues))
