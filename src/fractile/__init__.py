@@ -21,7 +21,7 @@ _EXPORTS = {
         record_movie splice""",
     "refuter": """NoMatchReport RefutationConfig SpliceCertificate SubmovieGroup
         format_certificate format_no_match refute""",
-    "render": "check_cell_budget render_svg",
+    "render": "render_svg",
     "systems": "PIER_LABELS_STAGED PIER_LABELS_UNIFORM tree_edge_system",
     "stability": "is_tau_stable",
     "tiles": """Assembly AssemblySequence Box DEFAULT_MAX_STEPS Glue

@@ -14,6 +14,8 @@ from typing import Optional, Sequence
 
 from . import _EXPORTS, _OWNER
 
+CELL_CAP = 262_144  # 512x512, the largest stage or window square a command builds
+
 
 def _bind(module: str) -> None:
     """Bind the public names of a library module in this module.
@@ -114,12 +116,26 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+def _stage_side(c: int, g: int, s: int, window: bool = False) -> int:
+    """The side c*g**s of stage s at scale c, once c is at least 1 and the
+    square to be built, the stage or (``window``) its stage-s window of
+    side c*g**(s-2), holds at most CELL_CAP cells.  A stage too small to
+    exist is left for the library to name."""
+    if c < 1:
+        raise ValueError(f"scale factor must be >= 1, got {c}")
+    n = c * g ** (s - 2 if window else s)
+    if s >= (2 if window else 1) and n * n > CELL_CAP:
+        what = f"a stage-{s} window of" if window else "rendering"
+        raise ValueError(
+            f"{what} {n}x{n} cells exceeds the cap of {CELL_CAP}; try a smaller stage"
+        )
+    return c * g**s
+
+
 def _scaled_stage(args: argparse.Namespace) -> tuple[Generator, int, frozenset]:
-    """The generator, the side and the cells of stage --stage at --scale;
-    the cell budget is checked before any cell is built."""
+    """The generator, the side and the cells of stage --stage at --scale."""
     gen = _load_generator(args.generator)
-    side = args.scale * gen.g**args.stage
-    check_cell_budget(side)
+    side = _stage_side(args.scale, gen.g, args.stage)
     return gen, side, scale(stage(gen, args.stage), args.scale)
 
 
@@ -131,7 +147,11 @@ def cmd_stages(args: argparse.Namespace) -> int:
 
 
 def cmd_census(args: argparse.Namespace) -> int:
-    stats = census(args.g, allow_large=args.allow_large)
+    if args.g == 4 and not args.allow_large:
+        raise ValueError("side 4 has 32768 candidates; pass --allow-large")
+    if args.g > 4:
+        raise ValueError(f"census supports sides up to 4, got {args.g}")
+    stats = census(args.g)
     lines = [
         f"side: {stats.g}",
         f"candidates: {stats.candidates}",
@@ -169,9 +189,8 @@ def cmd_movie(args: argparse.Namespace) -> int:
     gen = _load_generator(args.generator)
     system = parse_tile_system(_read(args.system))
     anchor = select_pier_anchor(gen)
-    # the spec checks --scale and --stage before they size the region
     spec = WindowSpec(args.scale, args.stage, gen.g, anchor.anchor, anchor.pier)
-    side = args.scale * gen.g**args.stage
+    side = _stage_side(args.scale, gen.g, args.stage, window=True)
     region = Box(0, 0, side - 1, side - 1)
     seq = run(system, region, _policy(args.policy, args.seed), args.max_steps)
     movie = record_movie(seq, window_inside(spec))
@@ -184,14 +203,8 @@ def cmd_movie(args: argparse.Namespace) -> int:
 def cmd_refute(args: argparse.Namespace) -> int:
     gen = _load_generator(args.generator)
     system = parse_tile_system(_read(args.system))
-    cfg = RefutationConfig(
-        generator=gen,
-        c=args.scale,
-        system=system,
-        max_stage=args.max_stage,
-        policy_seed=args.seed,
-        max_steps=args.max_steps,
-    )
+    _stage_side(args.scale, gen.g, args.max_stage, window=True)
+    cfg = RefutationConfig(gen, args.scale, system, args.max_stage, args.seed, args.max_steps)
     outcome = refute(cfg)
     if isinstance(outcome, NoMatchReport):
         _emit(format_no_match(outcome), args.out)

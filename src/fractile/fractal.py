@@ -561,7 +561,7 @@ def _origin_trees(g: int) -> Iterator[PointSet]:
     return grow([(1, 0), (0, 1)])
 
 
-def census(g: int, allow_large: bool = False) -> CensusStats:
+def census(g: int) -> CensusStats:
     """Count the patterns of side g that contain the origin.
 
     ``valid`` counts those that meet every row and column, by
@@ -574,15 +574,12 @@ def census(g: int, allow_large: bool = False) -> CensusStats:
     to trees, and are reported in ascending mask order, bit k being the
     k-th cell in row-major order.
 
-    Side 4 means 2**15 candidates and is gated behind ``allow_large``;
-    larger sides are refused outright.
+    The cost grows with the number of trees: side 4 takes milliseconds and
+    side 5 (11,481 tree-fractal generators) seconds.  The command line
+    caps the side; this function takes any side of at least 2.
     """
     if g < 2:
         raise ValueError(f"side must be at least 2, got {g}")
-    if g == 4 and not allow_large:
-        raise ValueError("side 4 has 32768 candidates; pass allow_large=True or --allow-large")
-    if g > 4:
-        raise ValueError(f"census supports sides up to 4, got {g}")
 
     valid = sum(
         (-1) ** (i + j) * comb(g - 1, i) * comb(g - 1, j) * 2 ** ((g - i) * (g - j) - 1)

@@ -1,8 +1,8 @@
 """SVG renderings of point sets, windows, and glue lines.
 
 Renderings are for inspection: axis-aligned rectangles, one color per
-role (shape cell, window outline, glue-line marker), north up.  A fixed
-cell cap keeps accidental stage-9 requests from producing gigabyte files.
+role (shape cell, window outline, glue-line marker), north up.  The
+command line caps the side before a stage reaches this module.
 """
 
 from __future__ import annotations
@@ -11,21 +11,11 @@ from typing import Iterable, Sequence
 
 from .grid import Point, row_major
 
-CELL_CAP = 262_144  # 512x512
-
 _UNIT = 10  # SVG user units per cell
 # the attributes of each role's rects
 _CELL = 'class="cell" fill="#5b8bb0"'
 _WINDOW = f'class="window" fill="none" stroke="#c2471d" stroke-width="{_UNIT / 5:g}"'
 _GLUE = 'class="glue" fill="#2c8a4b"'
-
-
-def check_cell_budget(side: int) -> None:
-    if side * side > CELL_CAP:
-        raise ValueError(
-            f"rendering {side}x{side} cells exceeds the cap of {CELL_CAP};"
-            " try a smaller stage"
-        )
 
 
 def render_svg(

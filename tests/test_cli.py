@@ -166,6 +166,20 @@ class TestStagesAndScale:
             f"error: rendering {cells} cells exceeds the cap of 262144; try a smaller stage\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["stages", "--scale", "-1000"], "scale factor must be >= 1, got -1000"),
+            (["scale", "--scale", "-1000"], "scale factor must be >= 1, got -1000"),
+            (["render", "--scale", "-300"], "scale factor must be >= 1, got -300"),
+            (["stages", "--stage", "0", "--scale", "2000"], "stage index must be >= 1, got 0"),
+            (["render", "--stage", "-1", "--scale", "2000"], "stage index must be >= 1, got -1"),
+        ],
+    )
+    def test_bad_size_named_before_the_cap(self, files, capsys, argv, message):
+        assert main([argv[0], str(files / "sierpinski.gen"), *argv[1:]]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestCensus:
     def test_side_two(self, files, capsys):
@@ -193,7 +207,7 @@ class TestCensus:
     def test_side_four_needs_opt_in(self, capsys):
         assert main(["census", "4"]) == 2
         assert capsys.readouterr().err == (
-            "error: side 4 has 32768 candidates; pass allow_large=True or --allow-large\n"
+            "error: side 4 has 32768 candidates; pass --allow-large\n"
         )
 
     def test_side_five_unsupported(self, capsys):
@@ -380,6 +394,47 @@ class TestRefute:
         code = main(["refute", str(files / "sierpinski.gen"), str(files / "nope.tas")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("command, flag", [("movie", "--stage"), ("refute", "--max-stage")])
+    @pytest.mark.parametrize("s, cells", [("12", "1024x1024"), ("30", "268435456x268435456")])
+    def test_window_cap_checked_before_running(
+        self, files, capsys, monkeypatch, command, flag, s, cells
+    ):
+        # movie's window and refute's largest one; 11 is the last stage under the cap
+        def refuse(*args):
+            raise RuntimeError("ran the system before checking the cap")
+
+        monkeypatch.setattr("fractile.cli.run", refuse)
+        monkeypatch.setattr("fractile.cli.refute", refuse)
+        argv = [command, str(files / "sierpinski.gen"), str(files / "staged.tas"), flag, s]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: a stage-{s} window of {cells} cells exceeds the cap of 262144;"
+            " try a smaller stage\n"
+        )
+
+    @pytest.mark.parametrize("command, flag", [("movie", "--stage"), ("refute", "--max-stage")])
+    def test_stage_eleven_window_passes_the_cap(self, files, monkeypatch, command, flag):
+        def reached(*args):
+            raise RuntimeError("passed the cap")
+
+        monkeypatch.setattr("fractile.cli.run", reached)
+        monkeypatch.setattr("fractile.cli.refute", reached)
+        argv = [command, str(files / "sierpinski.gen"), str(files / "staged.tas"), flag, "11"]
+        with pytest.raises(RuntimeError, match="passed the cap"):
+            main(argv)
+
+    @pytest.mark.parametrize(
+        "command, flag, message",
+        [
+            ("movie", "--stage", "stage windows exist from stage 2, got 1"),
+            ("refute", "--max-stage", "max stage must be >= 2, got 1"),
+        ],
+    )
+    def test_stage_below_two_named_before_the_cap(self, files, capsys, command, flag, message):
+        gen, tas = str(files / "sierpinski.gen"), str(files / "staged.tas")
+        assert main([command, gen, tas, flag, "1", "--scale", "2000"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestRender:

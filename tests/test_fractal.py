@@ -274,7 +274,7 @@ def test_tree_fractal_generators_have_two_piers():
     one to choose."""
     swept = 0
     for g in (2, 3, 4):
-        for gen in census(g, allow_large=True).tree_fractal_generators:
+        for gen in census(g).tree_fractal_generators:
             kinds = [p.taxonomy for p in piers(gen)]
             assert len(kinds) >= 2, format_generator(gen)
             assert kinds.count(TAXONOMY_DOUBLE) <= 1, format_generator(gen)
@@ -350,7 +350,7 @@ def test_anchor_sweep_over_all_small_tree_fractal_generators():
     alone, at one pair."""
     swept = 0
     for g in (2, 3, 4):
-        for gen in census(g, allow_large=True).tree_fractal_generators:
+        for gen in census(g).tree_fractal_generators:
             a = select_pier_anchor(gen)
             assert a.pier in {p.position for p in piers(gen)}, gen
             inside = window_inside(WindowSpec(1, 2, g, a.anchor, a.pier))
@@ -581,7 +581,7 @@ def _census_by_masks(g):
 
 @pytest.mark.parametrize("g, n_trees", [(2, 6), (3, 56), (4, 1426)])
 def test_census_matches_mask_loop(g, n_trees):
-    stats = census(g, allow_large=True)
+    stats = census(g)
     valid, found, taxonomy, trees = _census_by_masks(g)
     assert stats.candidates == 1 << (g * g - 1)
     assert stats.valid == valid
@@ -596,10 +596,6 @@ def test_census_matches_mask_loop(g, n_trees):
 def test_census_rejects_unreasonable_sides():
     with pytest.raises(ValueError, match="side must be at least 2"):
         census(1)
-    with pytest.raises(ValueError, match="allow_large"):
-        census(4)
-    with pytest.raises(ValueError, match="up to 4"):
-        census(5)
 
 
 def test_random_valid_generator_is_deterministic():

@@ -56,7 +56,7 @@ def cases(tier1: bool = False):
     """(key, generator, depth) for every case of the universe, or only the
     tier-1 subset."""
     for g, depth in DEPTHS.items():
-        for k, gen in enumerate(census(g, allow_large=True).tree_fractal_generators):
+        for k, gen in enumerate(census(g).tree_fractal_generators):
             if tier1 and g == 4 and k % 20:
                 continue
             yield f"g{g}#{k} d{depth}", gen, depth

@@ -32,6 +32,7 @@ from fractile import (
     bridges,
     census,
     check_strict_self_assembly,
+    format_tile_system,
     piers,
     record_movie,
     refute,
@@ -221,6 +222,11 @@ def test_cli_import_leaves_heavy_modules_unloaded():
             ["simulate", "{tas}", "--region", "0,0,3,3"],
             {"fractal", "movies", "refuter", "windows", "systems", "render"},
         ),
+        (["movie", "{gen}", "{tree}", "--stage", "3"], {"refuter", "systems", "render"}),
+        (
+            ["refute", "{gen}", "{tree}", "--max-stage", "4", "--seed", "1"],
+            {"systems", "render"},
+        ),
     ],
 )
 def test_command_loads_only_its_modules(tmp_path, argv, unloaded):
@@ -228,7 +234,11 @@ def test_command_loads_only_its_modules(tmp_path, argv, unloaded):
     tas.write_text("temperature 1\ntile col N=n:1 E=-:0 S=n:1 W=-:0\nseed 0 0 col\n")
     gen = tmp_path / "sierpinski.gen"
     gen.write_text("g=2\n#.\n##\n")
-    argv = [arg.format(tas=tas, gen=gen) for arg in argv] + ["--out", str(tmp_path / "out.txt")]
+    tree = tmp_path / "uniform.tas"
+    system = tree_edge_system(Generator(2, SIERPINSKI_CELLS), 4, PIER_LABELS_UNIFORM)
+    tree.write_text(format_tile_system(system))
+    argv = [arg.format(tas=tas, gen=gen, tree=tree) for arg in argv]
+    argv += ["--out", str(tmp_path / "out.txt")]
     loaded = _new_modules(f"import fractile.cli\nassert fractile.cli.main({argv!r}) == 0")
     assert (tmp_path / "out.txt").read_text()
     assert "fractile.cli" in loaded

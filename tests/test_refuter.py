@@ -120,7 +120,7 @@ class TestAlignmentOffset:
         anchors = [
             (gen, select_pier_anchor(gen, pier=pr.position))
             for g in (2, 3, 4)
-            for gen in census(g, allow_large=True).tree_fractal_generators
+            for gen in census(g).tree_fractal_generators
             for pr in piers(gen)
             if pr.taxonomy != TAXONOMY_DOUBLE
         ]
@@ -149,7 +149,7 @@ class TestAlignmentOffset:
         cases = [
             (gen, select_pier_anchor(gen))
             for g in (2, 3, 4)
-            for gen in census(g, allow_large=True).tree_fractal_generators
+            for gen in census(g).tree_fractal_generators
         ]
         cases.append((hook4, select_pier_anchor(hook4, pier=(3, 2))))
         swept = 0

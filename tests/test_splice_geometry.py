@@ -40,7 +40,7 @@ def missed_target_cells(tier1: bool = False):
     """(case, number of target cells of w_j outside w_i + shift) for every
     generator, scale and stage pair, or only the tier-1 subset."""
     for g, max_stage in MAX_STAGES.items():
-        for k, gen in enumerate(census(g, allow_large=True).tree_fractal_generators):
+        for k, gen in enumerate(census(g).tree_fractal_generators):
             if tier1 and g == 4 and k % 20:
                 continue
             anchor = select_pier_anchor(gen)

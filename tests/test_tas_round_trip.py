@@ -33,7 +33,7 @@ def round_trips(tier1: bool = False):
     """(case, whether the parse of the formatted system matches it) for
     every system of the universe, or only the tier-1 subset."""
     for g, depth in DEPTHS.items():
-        for k, gen in enumerate(census(g, allow_large=True).tree_fractal_generators):
+        for k, gen in enumerate(census(g).tree_fractal_generators):
             if tier1 and g == 4 and k % 20:
                 continue
             for labels in (PIER_LABELS_UNIFORM, PIER_LABELS_STAGED):
